@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -29,11 +30,11 @@ from .design_space import (
     calibrate_units,
     constraint_region,
     default_grids,
-    max_bits,
+    max_bits_curve,
     optimal_point,
 )
 from .energy import mac_energy
-from .errors import CalibrationError, DelaymacError
+from .errors import CalibrationError, ConfigError, DelaymacError, FieldValidationError
 from .multiplier import (
     MultiplierSpec,
     dot_product_trials,
@@ -87,11 +88,14 @@ def _load_calibration_overlay() -> Optional[Tuple[float, float]]:
     path = config_dir() / CALIBRATION_FILENAME
     if not path.is_file():
         return None
-    data = json.loads(path.read_text())
-    scale = data.get("unit_scale")
-    if not isinstance(scale, (list, tuple)) or len(scale) != 2:
-        return None
-    return float(scale[0]), float(scale[1])
+    try:
+        data = json.loads(path.read_text())
+        scale = data.get("unit_scale") if isinstance(data, dict) else None
+        if not isinstance(scale, (list, tuple)) or len(scale) != 2:
+            return None
+        return float(scale[0]), float(scale[1])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed calibration file {path}: {exc}") from exc
 
 
 def _resolve_config(args) -> ResolvedConfig:
@@ -190,15 +194,16 @@ def cmd_maxbits(args) -> int:
     parts = args.epsilon_grid.split(":")
     if len(parts) != 3:
         raise DelaymacError(f"--epsilon-grid must be lo:hi:steps (got {args.epsilon_grid!r})")
-    lo, hi = float(parts[0]), float(parts[1])
-    steps = int(parts[2])
-    if steps < 1 or lo < 1.0 or hi < lo:
-        raise DelaymacError("epsilon grid needs steps >= 1 and 1 <= lo <= hi")
+    try:
+        lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError as exc:
+        raise DelaymacError(f"--epsilon-grid must be lo:hi:steps (got {args.epsilon_grid!r}): {exc}") from exc
+    if steps < 1 or not 1.0 <= lo <= hi < math.inf:
+        raise DelaymacError("epsilon grid needs steps >= 1 and finite 1 <= lo <= hi")
     c_grid, i_grid = _grids(args)
-    epsilons = np.linspace(lo, hi, steps)
-    rows = []
-    for eps in epsilons:
-        rows.append((float(eps), max_bits(float(eps), c_grid, i_grid, cfg.cell, cfg.tech, cfg.fit)))
+    epsilons = [float(eps) for eps in np.linspace(lo, hi, steps)]
+    n_max = max_bits_curve(epsilons, c_grid, i_grid, cfg.cell, cfg.tech, cfg.fit)
+    rows = list(zip(epsilons, n_max))
     stem = _out_stem(args.out)
     csv_path = Path(args.out) if Path(args.out).suffix else stem.with_suffix(".csv")
     _write_csv(csv_path, ("epsilon", "n_max"), rows)
@@ -349,7 +354,10 @@ def cmd_calibrate(args) -> int:
     cfg = _resolve_config(args)
     targets = list(DEFAULT_CALIBRATION_TARGETS)
     if args.targets:
-        targets = json.loads(Path(args.targets).read_text())
+        try:
+            targets = json.loads(Path(args.targets).read_text())
+        except ValueError as exc:
+            raise FieldValidationError("targets", f"malformed JSON in {args.targets}: {exc}") from exc
     c_grid, i_grid = _grids(args)
     try:
         result = calibrate_units(targets, cfg.fit, cfg.tech, cfg.cell, c_grid=c_grid, i_grid=i_grid)

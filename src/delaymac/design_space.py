@@ -8,7 +8,18 @@ Three constraints bound a workable design:
    fastest) above 1.
 3. three-sigma jitter of the slowest cell at most jitter_margin_fraction of
    the fastest cell's maximum referential delay, optionally tightened by an
-   excess margin epsilon.
+   excess margin epsilon: 3 * sqrt(s1 * a_n + s2 * b_n) <= rhs0 / epsilon,
+   with scale-free terms a_n, b_n and the unit scale (s1, s2).
+
+Constraints 1 and 2 depend on neither epsilon nor the unit scale, and 3 has
+a closed form in epsilon at each grid point. So one vector, the critical
+excess margin eps_crit(n) = max over c1 & c2 points at n of
+rhs0 / (3 * sqrt(s1 * a_n + s2 * b_n)) for n = 1..MAX_BITS_CAP (0 where n has
+no c1 & c2 point), answers every question at one unit scale: n is feasible
+at epsilon iff eps_crit(n) >= epsilon, max_bits(epsilon) counts the entries
+>= epsilon and drops to b at eps_crit(b + 1). Scaling (s1, s2) by m scales
+eps_crit by m**-0.5, so calibration reads the magnitude window of each
+candidate ray off the profile at m = 1.
 
 Grid evaluation is vectorized and deterministic.
 """
@@ -16,6 +27,7 @@ Grid evaluation is vectorized and deterministic.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -35,6 +47,9 @@ DEFAULT_GRID_POINTS = 64
 
 MIN_GRID_POINTS = 16
 MAX_BITS_CAP = 48
+
+#: Excess margins from here up count as never reaching a bit count.
+_EPSILON_REACH_LIMIT = 2.0**29
 
 
 def default_grids(
@@ -56,6 +71,11 @@ def _validate_grid(grid: np.ndarray, name: str) -> np.ndarray:
     if not np.all(np.diff(grid) > 0):
         raise FieldValidationError(name, "must be strictly increasing")
     return grid
+
+
+def _validate_epsilon(epsilon: float) -> None:
+    if not (math.isfinite(epsilon) and epsilon >= 1.0):
+        raise FieldValidationError("epsilon", f"excess jitter margin must be finite and >= 1 (got {epsilon})")
 
 
 @dataclass(frozen=True)
@@ -121,11 +141,16 @@ class DesignRegion:
 
 
 class _ConstraintTables:
-    """Per-bit-count cached grids so repeated sweeps stay cheap.
+    """The constraints over one grid, and the eps_crit profile at any unit scale.
 
-    The jitter constraint factorizes into scale-independent tables
-    (a = k1 * C / i_slow**p1, b = k2 * (C / i_slow)**q2), so candidate unit
-    scales during calibration only recombine cached arrays.
+    The jitter terms a_n = k1 * C / i_slow**p1 and b_n = k2 * (C / i_slow)**q2
+    (i_slow = i_star_fastest * 2**-n) do not depend on the unit scale, so
+    candidate scales during calibration only recombine stored terms. Both
+    grow with C at a fixed current, so in each current column the smallest
+    c1 & c2 capacitance has the largest critical margin: the profile keeps
+    only that point per column and bit count, a (MAX_BITS_CAP, columns)
+    table, never a full grid per n. Both terms also grow with n and the
+    c1 & c2 sets nest, so eps_crit is non-increasing in n.
     """
 
     def __init__(
@@ -139,101 +164,78 @@ class _ConstraintTables:
     ):
         self.c_grid = _validate_grid(c_grid, "grid_cstar")
         self.i_grid = _validate_grid(i_grid, "grid_istar")
-        self.cell = cell
-        self.tech = tech
         self.fit = fit
-        self.fraction = jitter_margin_fraction
         self.cc, self.ii = np.meshgrid(self.c_grid, self.i_grid, indexing="ij")
         self.c1 = self.cc > init_validity_min_cstar(cell, tech)
-        # initialization drop at v_a = v_dd, where the detector margin is worst
-        self.dv0_vdd = (cell.c_s_eff * (tech.v_dd - tech.v_thn) + cell.dq_of_md) / self.cc
-        self.rhs0 = jitter_margin_fraction * cell.c_s_eff / self.ii
-        self._per_n: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        # detector margin at n = 0 and the initialization drop for v_a = v_dd,
+        # where it is worst; halving the slowest current halves it exactly
+        dv0_vdd = (cell.c_s_eff * (tech.v_dd - tech.v_thn) + cell.dq_of_md) / self.cc
+        self.margin0 = (
+            (self.ii / self.cc)
+            * (cell.c_re / (tech.i_0 * np.exp(dv0_vdd / tech.v_t)))
+            * (tech.v_thn / tech.v_t)
+        )
+        self.rhs0 = jitter_margin_fraction * cell.c_s_eff / self.i_grid
+        self._front: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
-    def tables(self, n: int):
-        cached = self._per_n.get(n)
-        if cached is None:
-            i_slow = self.ii * 2.0**-n
-            margin = (
-                (i_slow / self.cc)
-                * (self.cell.c_re / (self.tech.i_0 * np.exp(self.dv0_vdd / self.tech.v_t)))
-                * (self.tech.v_thn / self.tech.v_t)
-            )
-            c12 = self.c1 & (margin > 1.0)
-            a = self.fit.k1 * self.cc / i_slow**self.fit.p1
-            b = self.fit.k2 * (self.cc / i_slow) ** self.fit.q2
-            cached = (c12, a, b)
-            self._per_n[n] = cached
-        return cached
+    def c2(self, n: int) -> np.ndarray:
+        """Detector-linearity mask of constraint 2 at n bits."""
+        return self.margin0 * 2.0**-n > 1.0
 
-    def masks(self, n: int, epsilon: float, unit_scale: Tuple[float, float]):
-        c12, a, b = self.tables(n)
+    def jitter_terms(self, n: int, c: np.ndarray, i: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Scale-free variance terms (a_n, b_n) of the slowest cell at (c, i)."""
+        i_slow = i * 2.0**-n
+        return self.fit.k1 * c / i_slow**self.fit.p1, self.fit.k2 * (c / i_slow) ** self.fit.q2
+
+    def critical_epsilon(self, a: np.ndarray, b: np.ndarray, unit_scale: Tuple[float, float]) -> np.ndarray:
+        """Largest epsilon meeting the jitter bound at each point with terms (a, b).
+
+        The region masks and the profile both compare against these values,
+        so they agree to the last bit.
+        """
         s1, s2 = unit_scale
-        c3 = 9.0 * (s1 * a + s2 * b) <= (self.rhs0 / epsilon) ** 2
-        return c12, c3
-
-    def feasible_any(self, n: int, epsilon: float, unit_scale: Tuple[float, float]) -> bool:
-        c12, c3 = self.masks(n, epsilon, unit_scale)
-        return bool((c12 & c3).any())
-
-    def max_bits(self, epsilon: float, unit_scale: Tuple[float, float]) -> int:
-        best = 0
-        for n in range(1, MAX_BITS_CAP + 1):
-            if self.feasible_any(n, epsilon, unit_scale):
-                best = n
-            else:
-                break
-        return best
+        return self.rhs0 / (3.0 * np.sqrt(s1 * a + s2 * b))
 
     def region(self, n: int, epsilon: float, unit_scale: Tuple[float, float]) -> DesignRegion:
-        c12, a, b = self.tables(n)
-        s1, s2 = unit_scale
-        i_slow = self.ii * 2.0**-n
-        margin = (
-            (i_slow / self.cc)
-            * (self.cell.c_re / (self.tech.i_0 * np.exp(self.dv0_vdd / self.tech.v_t)))
-            * (self.tech.v_thn / self.tech.v_t)
-        )
-        c2 = margin > 1.0
-        c3 = 9.0 * (s1 * a + s2 * b) <= (self.rhs0 / epsilon) ** 2
-        feasible = self.c1 & c2 & c3
+        c2 = self.c2(n)
+        c3 = epsilon <= self.critical_epsilon(*self.jitter_terms(n, self.cc, self.ii), unit_scale)
         return DesignRegion(
             grid_cstar=self.c_grid.copy(),
             grid_istar=self.i_grid.copy(),
             mask_c1=self.c1.copy(),
             mask_c2=c2,
             mask_c3=c3,
-            feasible=feasible,
+            feasible=self.c1 & c2 & c3,
             n_bits=n,
             epsilon=epsilon,
         )
 
-    def optimum(self, n: int, epsilon: float, unit_scale: Tuple[float, float]):
-        c12, c3 = self.masks(n, epsilon, unit_scale)
-        feasible = c12 & c3
-        if not feasible.any():
-            return None
-        cols = feasible.any(axis=0)
-        best_ii = int(np.nonzero(cols)[0].max())
-        best_ci = int(np.nonzero(feasible[:, best_ii])[0].min())
-        return float(self.c_grid[best_ci]), float(self.i_grid[best_ii])
+    def profile(self, unit_scale: Tuple[float, float]) -> np.ndarray:
+        """eps_crit(n) for n = 1..MAX_BITS_CAP, 0 where n has no c1 & c2 point."""
+        if self._front is None:
+            # a column without a c1 & c2 point keeps infinite terms: eps_crit 0
+            a = np.full((MAX_BITS_CAP, self.i_grid.size), np.inf)
+            b = a.copy()
+            for n in range(1, MAX_BITS_CAP + 1):
+                c12 = self.c1 & self.c2(n)
+                cols = np.flatnonzero(c12.any(axis=0))
+                if cols.size == 0:
+                    break  # the c1 & c2 sets nest, so every larger n is empty too
+                rows = c12[:, cols].argmax(axis=0)
+                a[n - 1, cols], b[n - 1, cols] = self.jitter_terms(n, self.c_grid[rows], self.i_grid[cols])
+            self._front = a, b
+        return self.critical_epsilon(*self._front, unit_scale).max(axis=1)
+
+    def feasible_any(self, n: int, epsilon: float, unit_scale: Tuple[float, float]) -> bool:
+        return bool(self.profile(unit_scale)[n - 1] >= epsilon)
+
+    def max_bits(self, epsilon: float, unit_scale: Tuple[float, float]) -> int:
+        return int(np.count_nonzero(self.profile(unit_scale) >= epsilon))
 
     def epsilon_reaching_bits(self, bits: int, unit_scale: Tuple[float, float]) -> float:
         """Smallest epsilon at which max_bits drops to <= bits (inf if never)."""
-        lo, hi = 1.0, 1.0
-        if self.max_bits(lo, unit_scale) <= bits:
-            return lo
-        while self.max_bits(hi, unit_scale) > bits:
-            hi *= 2.0
-            if hi > 1e9:
-                return math.inf
-        for _ in range(60):
-            mid = math.sqrt(lo * hi)
-            if self.max_bits(mid, unit_scale) <= bits:
-                hi = mid
-            else:
-                lo = mid
-        return hi
+        crit = float(self.profile(unit_scale)[bits])
+        return math.inf if crit >= _EPSILON_REACH_LIMIT else max(1.0, crit)
 
 
 def constraint_region(
@@ -249,8 +251,7 @@ def constraint_region(
     """Evaluate all three constraints for an n-bit multiplier over the grid."""
     if n < 1:
         raise FieldValidationError("n", "bit count must be >= 1")
-    if epsilon < 1.0:
-        raise FieldValidationError("epsilon", "excess jitter margin must be >= 1")
+    _validate_epsilon(epsilon)
     scale = require_calibrated(fit)
     tables = _ConstraintTables(c_grid, i_grid, cell, tech, fit, jitter_margin_fraction)
     return tables.region(n, epsilon, scale)
@@ -266,6 +267,23 @@ def optimal_point(region: DesignRegion) -> Tuple[float, float]:
     return float(region.grid_cstar[best_ci]), float(region.grid_istar[best_ii])
 
 
+def max_bits_curve(
+    epsilons: Sequence[float],
+    c_grid: np.ndarray,
+    i_grid: np.ndarray,
+    cell: CellDesign,
+    tech: TechnologyProfile,
+    fit: JitterFit,
+    jitter_margin_fraction: float = JITTER_MARGIN_FRACTION,
+) -> List[int]:
+    """max_bits at each excess margin, read off one eps_crit profile."""
+    for epsilon in epsilons:
+        _validate_epsilon(epsilon)
+    scale = require_calibrated(fit)
+    crit = _ConstraintTables(c_grid, i_grid, cell, tech, fit, jitter_margin_fraction).profile(scale)
+    return [int(np.count_nonzero(crit >= epsilon)) for epsilon in epsilons]
+
+
 def max_bits(
     epsilon: float,
     c_grid: np.ndarray,
@@ -277,14 +295,10 @@ def max_bits(
 ) -> int:
     """Largest bit count with a non-empty feasible region at excess margin epsilon.
 
-    Feasible sets nest as n grows, so the first empty n terminates the scan;
-    returns 0 when even n=1 is infeasible.
+    Feasible sets nest as n grows, so this is the number of bit counts with
+    eps_crit(n) >= epsilon; returns 0 when even n=1 is infeasible.
     """
-    if epsilon < 1.0:
-        raise FieldValidationError("epsilon", "excess jitter margin must be >= 1")
-    scale = require_calibrated(fit)
-    tables = _ConstraintTables(c_grid, i_grid, cell, tech, fit, jitter_margin_fraction)
-    return tables.max_bits(epsilon, scale)
+    return max_bits_curve((epsilon,), c_grid, i_grid, cell, tech, fit, jitter_margin_fraction)[0]
 
 
 # --- unit calibration ---------------------------------------------------
@@ -297,6 +311,25 @@ DEFAULT_CALIBRATION_TARGETS: Tuple[dict, ...] = (
     {"kind": "optimum", "n": 5, "epsilon": 1.0, "c_star": 2.2e-15, "i_star": 1e-6, "grid_steps": 1},
     {"kind": "bits_reach", "bits": 1, "epsilon": 14.0, "rel_tol": 0.3},
 )
+
+#: Fields each calibration target kind requires.
+_TARGET_REQUIRED: Dict[str, Tuple[str, ...]] = {
+    "max_bits": ("bits",),
+    "feasible": ("n",),
+    "infeasible": ("n",),
+    "optimum": ("n", "c_star", "i_star"),
+    "bits_reach": ("bits",),
+}
+
+#: Inclusive range of target fields; any other field is a number >= 0. n and
+#: bits index the eps_crit profile, so they must also be integers.
+_TARGET_RANGES: Dict[str, Tuple[float, float]] = {
+    "n": (1, MAX_BITS_CAP),
+    "bits": (0, MAX_BITS_CAP - 1),
+    "epsilon": (1.0, math.inf),
+    "c_star": (sys.float_info.min, math.inf),
+    "i_star": (sys.float_info.min, math.inf),
+}
 
 #: Discrete unit conventions tried first: per-axis scales for capacitance,
 #: current and time in which the constants may have been fitted.
@@ -333,6 +366,29 @@ class CalibrationResult:
         }
 
 
+def _validate_targets(targets: Sequence[dict]) -> None:
+    """Reject malformed calibration targets before any search starts."""
+    if not isinstance(targets, (list, tuple)):
+        raise FieldValidationError("targets", "must be a list of target objects")
+    for t in targets:
+        kind = t.get("kind") if isinstance(t, dict) else None
+        if not isinstance(kind, str) or kind not in _TARGET_REQUIRED:
+            raise FieldValidationError("kind", f"unknown calibration target {t!r}")
+        for key in _TARGET_REQUIRED[kind]:
+            if key not in t:
+                raise FieldValidationError(key, f"missing from calibration target {t!r}")
+        for key, value in t.items():
+            if key == "kind":
+                continue
+            lo, hi = _TARGET_RANGES.get(key, (0.0, math.inf))
+            integral = key in ("n", "bits")
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            finite = number and abs(value) <= sys.float_info.max  # exact for ints of any size
+            if not (finite and lo <= value <= hi) or (integral and value != int(value)):
+                what = "an integer" if integral else "a number"
+                raise FieldValidationError(key, f"must be {what} in [{lo:g}, {hi:g}] (calibration target {t!r})")
+
+
 def _log_step(grid: np.ndarray) -> float:
     return math.log(grid[1] / grid[0])
 
@@ -345,134 +401,64 @@ def _evaluate_targets(
 ) -> Tuple[List[bool], float]:
     """Check each target; lazy mode marks the rest failed after a first miss.
 
-    The expensive bits_reach bisection is ordered last, so lazy evaluation
-    only spends it on candidates that met every cheaper target.
+    A missed target costs _MISS_PENALTY on top of its distance, so every
+    candidate meeting all targets ranks ahead of any that misses one.
     """
     met: List[bool] = []
     residual = 0.0
-    ordered = sorted(range(len(targets)), key=lambda i: targets[i]["kind"] == "bits_reach")
-    results: Dict[int, bool] = {}
-    for idx in ordered:
-        t = targets[idx]
+    for t in targets:
         if lazy and residual >= _MISS_PENALTY:
-            results[idx] = False
+            met.append(False)
             residual += _MISS_PENALTY
             continue
-        kind = t["kind"]
-        eps = float(t.get("epsilon", 1.0))
+        kind, eps, cost = t["kind"], float(t.get("epsilon", 1.0)), 0.0
         if kind == "max_bits":
             got = tables.max_bits(eps, scale)
-            ok = got == int(t["bits"])
-            residual += 0.0 if ok else _MISS_PENALTY + abs(got - int(t["bits"]))
-        elif kind == "feasible":
-            ok = tables.feasible_any(int(t["n"]), eps, scale)
-            residual += 0.0 if ok else _MISS_PENALTY
-        elif kind == "infeasible":
-            ok = not tables.feasible_any(int(t["n"]), eps, scale)
-            residual += 0.0 if ok else _MISS_PENALTY
+            ok, cost = got == int(t["bits"]), abs(got - int(t["bits"]))
+        elif kind in ("feasible", "infeasible"):
+            ok = tables.feasible_any(int(t["n"]), eps, scale) == (kind == "feasible")
         elif kind == "optimum":
-            opt = tables.optimum(int(t["n"]), eps, scale)
-            if opt is None:
-                ok = False
-                residual += _MISS_PENALTY
-            else:
-                steps_c = abs(math.log(opt[0] / t["c_star"])) / _log_step(tables.c_grid)
-                steps_i = abs(math.log(opt[1] / t["i_star"])) / _log_step(tables.i_grid)
+            region = tables.region(int(t["n"]), eps, scale)
+            ok = not region.is_empty
+            if ok:
+                c_opt, i_opt = optimal_point(region)
+                steps_c = abs(math.log(c_opt / t["c_star"])) / _log_step(tables.c_grid)
+                steps_i = abs(math.log(i_opt / t["i_star"])) / _log_step(tables.i_grid)
                 allowed = float(t.get("grid_steps", 1)) + 1e-9
-                ok = steps_c <= allowed and steps_i <= allowed
-                residual += 0.01 * (steps_c + steps_i)
-                if not ok:
-                    residual += _MISS_PENALTY
-        elif kind == "bits_reach":
-            eps_reached = tables.epsilon_reaching_bits(int(t["bits"]), scale)
+                ok, cost = steps_c <= allowed and steps_i <= allowed, 0.01 * (steps_c + steps_i)
+        else:  # bits_reach; _validate_targets admits no other kind
+            reached = tables.epsilon_reaching_bits(int(t["bits"]), scale)
             tol = float(t.get("rel_tol", 0.3))
-            ok = math.isfinite(eps_reached) and (1 - tol) * eps <= eps_reached <= (1 + tol) * eps
-            if math.isfinite(eps_reached):
-                residual += abs(math.log(eps_reached / eps))
-            else:
-                residual += _MISS_PENALTY
-            if not ok:
-                residual += _MISS_PENALTY
-        else:
-            raise FieldValidationError("kind", f"unknown calibration target kind {kind!r}")
-        results[idx] = bool(ok)
-    met = [results[i] for i in range(len(targets))]
+            ok = math.isfinite(reached) and (1 - tol) * eps <= reached <= (1 + tol) * eps
+            cost = abs(math.log(reached / eps)) if math.isfinite(reached) else _MISS_PENALTY
+        residual += cost if ok else cost + _MISS_PENALTY
+        met.append(bool(ok))
     return met, residual
 
 
 def _anchor_interval(tables, targets, scale_of) -> Optional[Tuple[float, float]]:
     """Magnitude interval on which the primary max_bits target holds.
 
-    max_bits is non-increasing in the overall variance magnitude, so the set
-    of magnitudes meeting `max_bits(eps) == bits` is an interval found by
-    bisection; returns None when it is empty.
+    Every scale_of is linear in m, so eps_crit at scale_of(m) is the profile
+    at m = 1 times m**-0.5, and max_bits(eps) == bits exactly for m in
+    ((eps_crit(bits + 1) / eps)**2, (eps_crit(bits) / eps)**2]. Returns None
+    when that window is empty or unbounded.
     """
     anchor = next((t for t in targets if t["kind"] == "max_bits"), None)
     if anchor is None:
         return (1.0, 1.0)
     eps, bits = float(anchor.get("epsilon", 1.0)), int(anchor["bits"])
-
-    def bits_at(m: float) -> int:
-        return tables.max_bits(eps, scale_of(m))
-
-    lo, hi = 1.0, 1.0
-    for _ in range(200):
-        if bits_at(lo) >= bits:
-            break
-        lo /= 8.0
-    else:
+    crit = tables.profile(scale_of(1.0))
+    if bits == 0 or crit[bits] == 0.0:
         return None
-    for _ in range(200):
-        if bits_at(hi) <= bits:
-            break
-        hi *= 8.0
-    else:
-        return None
-    if bits_at(lo) == bits:
-        upper_probe = lo
-    elif bits_at(hi) == bits:
-        upper_probe = hi
-    else:
-        # bracket the lower edge of the interval: largest m with bits_at > bits
-        a, b = lo, hi
-        for _ in range(80):
-            mid = math.sqrt(a * b)
-            if bits_at(mid) > bits:
-                a = mid
-            elif bits_at(mid) < bits:
-                b = mid
-            else:
-                upper_probe = mid
-                break
-        else:
-            return None
-    # expand from a point inside the interval to both edges
-    a = upper_probe
-    b = upper_probe
-    step = 2.0
-    for _ in range(200):
-        if bits_at(a / step) != bits:
-            break
-        a /= step
-    for _ in range(200):
-        if bits_at(b * step) != bits:
-            break
-        b *= step
-    lo_edge, x = a / step, a
-    for _ in range(60):
-        mid = math.sqrt(lo_edge * x)
-        if bits_at(mid) == bits:
-            x = mid
-        else:
-            lo_edge = mid
-    hi_edge, y = b * step, b
-    for _ in range(60):
-        mid = math.sqrt(hi_edge * y)
-        if bits_at(mid) == bits:
-            y = mid
-        else:
-            hi_edge = mid
-    return x, y
+    lo = float(np.nextafter((crit[bits] / eps) ** 2, math.inf))
+    hi = float((crit[bits - 1] / eps) ** 2)
+    # scale_of and the profile round, so an edge can land an ulp outside
+    while lo <= hi and tables.max_bits(eps, scale_of(lo)) > bits:
+        lo = float(np.nextafter(lo, math.inf))
+    while lo <= hi and tables.max_bits(eps, scale_of(hi)) < bits:
+        hi = float(np.nextafter(hi, 0.0))
+    return (lo, hi) if lo <= hi else None
 
 
 def calibrate_units(
@@ -493,8 +479,10 @@ def calibrate_units(
     convention passes, stage two searches the per-term scale pair directly
     (ratio x magnitude), which the unit_scale field is defined to carry.
 
-    Raises CalibrationError when no candidate meets every target.
+    Raises FieldValidationError for a malformed target and CalibrationError
+    when no candidate meets every target.
     """
+    _validate_targets(targets)
     if c_grid is None or i_grid is None:
         dc, di = default_grids()
         c_grid = dc if c_grid is None else c_grid
@@ -507,29 +495,21 @@ def calibrate_units(
 
     candidates: List[Tuple[float, Tuple[float, float], Tuple[bool, ...], str]] = []
 
-    def consider(scale: Tuple[float, float], label: str) -> bool:
-        met, residual = _evaluate_targets(tables, targets, scale, lazy=True)
-        candidates.append((residual, scale, tuple(met), label))
-        return all(met)
-
-    def scan(scale_of, label: str) -> bool:
+    def scan(scale_of, label: str) -> None:
         interval = _anchor_interval(tables, targets, scale_of)
         if interval is None:
-            return False
-        any_met = False
+            return
         for m in np.geomspace(interval[0], interval[1], 17):
-            if consider(scale_of(float(m)), label):
-                any_met = True
-        return any_met
+            scale = scale_of(float(m))
+            met, residual = _evaluate_targets(tables, targets, scale, lazy=True)
+            candidates.append((residual, scale, tuple(met), label))
 
-    found = False
     for name, u_c, u_i, u_t in UNIT_CONVENTIONS:
         base1 = u_t**2 * u_i**fit.p1 / u_c
         base2 = u_t**2 * (u_i / u_c) ** fit.q2
-        if scan(lambda m, b1=base1, b2=base2: (m * b1, m * b2), f"global scale x {name}"):
-            found = True
+        scan(lambda m, b1=base1, b2=base2: (m * b1, m * b2), f"global scale x {name}")
 
-    if not found:
+    if not any(all(c[2]) for c in candidates):
         # stage two: per-term pair. Reference the optimum target's design
         # point (or the nominal cell) to parametrize ratio and magnitude.
         opt_target = next((t for t in targets if t["kind"] == "optimum"), None)
@@ -537,9 +517,7 @@ def calibrate_units(
         c_ref = float(opt_target["c_star"]) if opt_target else cell_template.c_star
         i_ref = float(opt_target["i_star"]) if opt_target else cell_template.i_star
         n_ref = int(opt_target["n"]) if opt_target else (int(mb_target["bits"]) if mb_target else 5)
-        i_slow = i_ref * 2.0**-n_ref
-        a_ref = fit.k1 * c_ref / i_slow**fit.p1
-        b_ref = fit.k2 * (c_ref / i_slow) ** fit.q2
+        a_ref, b_ref = tables.jitter_terms(n_ref, c_ref, i_ref)
         budget = (jitter_margin_fraction * cell_template.c_s_eff / i_ref) ** 2 / 9.0
 
         def pair_of(x: float):

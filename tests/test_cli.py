@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import sys
@@ -197,3 +198,70 @@ class TestConfigHandling:
 
     def test_version(self, run, capsys):
         assert run("--version") == 0
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestGoldenOutputs:
+    """Default config, 64 x 64 grid: outputs pinned byte for byte."""
+
+    def test_region_five_bits(self, run, tmp_path):
+        assert run("region", "--bits", 5, "--out", tmp_path / "r5.csv") == 0
+        assert sha256(tmp_path / "r5.csv") == "497039385953d7793c488b7a48fe505ffb90121086936a2c0011689f5f22813d"
+        assert sha256(tmp_path / "r5.summary.json") == (
+            "493cb8d09fe5d3db1e36e936baa4016cd522046e6a51b3afb0df948003b6a833"
+        )
+
+    def test_maxbits_curve(self, run, tmp_path):
+        assert run("maxbits", "--epsilon-grid", "1:30:300", "--out", tmp_path / "mb.csv") == 0
+        assert sha256(tmp_path / "mb.csv") == "b8c6828fa3667ebe1f29e4d9b82f488cd7e15b407774804647719605c35553b3"
+
+
+class TestBoundaryErrors:
+    """Malformed input exits 1 with a one-line message, never a traceback."""
+
+    @pytest.fixture()
+    def fails_cleanly(self, run, capsys):
+        def _check(*args):
+            capsys.readouterr()
+            code = run(*args)
+            err = capsys.readouterr().err
+            assert code == 1, err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            return err
+
+        return _check
+
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_region_non_finite_epsilon(self, fails_cleanly, tmp_path, eps):
+        assert "epsilon" in fails_cleanly("region", "--bits", 5, "--epsilon", eps, "--out", tmp_path / "r.csv")
+
+    @pytest.mark.parametrize("grid", ["nan:nan:3", "1:inf:3", "1:x:5", "1:2:x"])
+    def test_maxbits_malformed_grid(self, fails_cleanly, tmp_path, grid):
+        fails_cleanly("maxbits", "--epsilon-grid", grid, "--out", tmp_path / "mb.csv")
+        assert not (tmp_path / "mb.csv").exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{bad",
+            '[{"kind": "max_bits"}]',
+            '[{"kind": "max_bits", "bits": -1}]',
+            '[{"kind": "feasible", "n": 49}]',
+            '{"kind": "max_bits", "bits": 5}',
+        ],
+    )
+    def test_calibrate_malformed_targets(self, fails_cleanly, tmp_path, text):
+        targets = tmp_path / "targets.json"
+        targets.write_text(text)
+        assert "target" in fails_cleanly("calibrate", "--targets", targets)
+        assert not (tmp_path / "confdir" / "calibration.json").exists()
+
+    @pytest.mark.parametrize("text", ["{bad", '{"unit_scale": ["a", 1]}'])
+    def test_malformed_calibration_overlay(self, fails_cleanly, tmp_path, text):
+        confdir = tmp_path / "confdir"
+        confdir.mkdir()
+        (confdir / "calibration.json").write_text(text)
+        assert "calibration.json" in fails_cleanly("energy", "--out", tmp_path / "e")

@@ -172,3 +172,114 @@ class TestCalibration:
         result = ds.calibrate_units(ds.DEFAULT_CALIBRATION_TARGETS, raw, tech, cell)
         d = result.to_dict()
         assert set(d) == {"unit_scale", "residual", "targets_met", "convention"}
+
+
+class TestEpsilonBoundary:
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_epsilon_rejected(self, cell, tech, fit, grids, eps):
+        with pytest.raises(FieldValidationError, match="epsilon"):
+            ds.constraint_region(5, *grids, cell, tech, fit, epsilon=eps)
+        with pytest.raises(FieldValidationError, match="epsilon"):
+            ds.max_bits(eps, *grids, cell, tech, fit)
+
+
+#: Unit scale factors and excess margins of the profile oracle.
+ORACLE_FACTORS = (1.0, 1e-3, 1e3)
+ORACLE_EPSILONS = np.linspace(1.0, 30.0, 117)
+
+
+@pytest.fixture(scope="module", params=ORACLE_FACTORS, ids=lambda f: f"scale x {f:g}")
+def oracle(request, cell, tech, fit, grids):
+    """A scaled fit, its tables and the per-n region-scan max_bits curve."""
+    scaled = fit.with_unit_scale(tuple(request.param * s for s in fit.unit_scale))
+
+    def region_scan(eps):
+        n = 0
+        while n < ds.MAX_BITS_CAP and not ds.constraint_region(
+            n + 1, *grids, cell, tech, scaled, epsilon=eps
+        ).is_empty:
+            n += 1
+        return n
+
+    tables = ds._ConstraintTables(*grids, cell, tech, scaled)
+    return scaled, tables, [region_scan(float(e)) for e in ORACLE_EPSILONS]
+
+
+class TestProfileOracle:
+    """The eps_crit profile against per-n constraint_region scans."""
+
+    def test_max_bits_is_leading_run_of_nonempty_regions(self, oracle, cell, tech, grids):
+        scaled, tables, reference = oracle
+        got = [tables.max_bits(float(e), scaled.unit_scale) for e in ORACLE_EPSILONS]
+        assert got == reference
+        assert ds.max_bits_curve(ORACLE_EPSILONS, *grids, cell, tech, scaled) == reference
+
+    def test_epsilon_reaching_bits_brackets_the_drop(self, oracle):
+        scaled, tables, reference = oracle
+        for bits in range(max(reference)):
+            reached = tables.epsilon_reaching_bits(bits, scaled.unit_scale)
+            above = [e for e, n in zip(ORACLE_EPSILONS, reference) if n > bits]
+            at_or_below = [e for e, n in zip(ORACLE_EPSILONS, reference) if n <= bits]
+            if above:
+                assert max(above) <= reached
+            if at_or_below:
+                assert reached <= min(at_or_below)
+
+    @pytest.mark.parametrize("eps", [1.0, 2.5])
+    def test_anchor_interval_edges_are_exact(self, oracle, eps):
+        scaled, tables, _ = oracle
+        s1, s2 = scaled.unit_scale
+
+        def scale_of(m):
+            return m * s1, m * s2
+
+        # scale_of(m) sweeps every magnitude, so each bit count has a window
+        for bits in range(1, 12):
+            targets = [{"kind": "max_bits", "epsilon": eps, "bits": bits}]
+            lo, hi = ds._anchor_interval(tables, targets, scale_of)
+            for m in (lo, hi):
+                assert tables.max_bits(eps, scale_of(m)) == bits
+                # the region masks agree with the profile on the window edges
+                assert not tables.region(bits, eps, scale_of(m)).is_empty
+                assert tables.region(bits + 1, eps, scale_of(m)).is_empty
+            assert tables.max_bits(eps, scale_of(lo * (1 - 1e-12))) > bits
+            assert tables.max_bits(eps, scale_of(hi * (1 + 1e-12))) < bits
+
+    def test_unbounded_anchor_window_is_not_sampled(self, oracle):
+        scaled, tables, _ = oracle
+        reach = int(np.count_nonzero(tables.profile(scaled.unit_scale)))
+        for bits in (0, reach):
+            targets = [{"kind": "max_bits", "epsilon": 1.0, "bits": bits}]
+            assert ds._anchor_interval(tables, targets, lambda m: (m, m)) is None
+
+
+class TestCalibrationTargets:
+    @pytest.mark.parametrize(
+        "target, field",
+        [
+            ({"kind": "max_bits"}, "bits"),
+            ({"kind": "max_bits", "bits": -1}, "bits"),
+            ({"kind": "bits_reach", "bits": ds.MAX_BITS_CAP}, "bits"),
+            ({"kind": "bits_reach", "bits": 1.5}, "bits"),
+            ({"kind": "feasible", "n": 0}, "n"),
+            ({"kind": "infeasible", "n": ds.MAX_BITS_CAP + 1}, "n"),
+            ({"kind": "infeasible", "n": True}, "n"),
+            ({"kind": "optimum", "n": 5, "c_star": 2.2e-15}, "i_star"),
+            ({"kind": "optimum", "n": 5, "c_star": 0.0, "i_star": 1e-6}, "c_star"),
+            ({"kind": "feasible", "n": 4, "epsilon": float("nan")}, "epsilon"),
+            ({"kind": "feasible", "n": 4, "epsilon": "1"}, "epsilon"),
+            ({"kind": "feasible", "n": 4, "epsilon": 10**400}, "epsilon"),
+            ({"kind": "bits_reach", "bits": 1, "rel_tol": -0.1}, "rel_tol"),
+            ({"kind": "frobnicate"}, "kind"),
+            ({"kind": ["max_bits"]}, "kind"),
+            ("max_bits", "kind"),
+        ],
+    )
+    def test_malformed_target_rejected_before_search(self, cell, tech, fit, target, field):
+        with pytest.raises(FieldValidationError) as excinfo:
+            ds.calibrate_units([target], fit, tech, cell)
+        assert excinfo.value.field == field
+
+    def test_target_list_required(self, cell, tech, fit):
+        with pytest.raises(FieldValidationError, match="targets"):
+            ds.calibrate_units({"kind": "max_bits", "bits": 5}, fit, tech, cell)
