@@ -35,12 +35,8 @@ from .design_space import (
 )
 from .energy import mac_energy
 from .errors import CalibrationError, ConfigError, DelaymacError, FieldValidationError
-from .multiplier import (
-    MultiplierSpec,
-    dot_product_trials,
-    simulate_dot_product,
-    transfer_sweep,
-)
+from .multiplier import MultiplierSpec, simulate_chain
+from .params import JitterFit
 from .units import coerce_quantity, format_number
 
 EXIT_OK = 0
@@ -84,16 +80,17 @@ def config_dir() -> Path:
     return Path(os.environ.get(CONFIG_DIR_ENV, "."))
 
 
-def _load_calibration_overlay() -> Optional[Tuple[float, float]]:
+def _overlay_calibration(fit: JitterFit) -> JitterFit:
+    """fit with the unit scale of a persisted calibration file, if there is one."""
     path = config_dir() / CALIBRATION_FILENAME
     if not path.is_file():
-        return None
+        return fit
     try:
         data = json.loads(path.read_text())
         scale = data.get("unit_scale") if isinstance(data, dict) else None
         if not isinstance(scale, (list, tuple)) or len(scale) != 2:
-            return None
-        return float(scale[0]), float(scale[1])
+            return fit
+        return fit.with_unit_scale(scale)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed calibration file {path}: {exc}") from exc
 
@@ -104,9 +101,7 @@ def _resolve_config(args) -> ResolvedConfig:
     # an explicitly configured one
     unit_scale_defaulted = any(line.startswith("unit_scale ") for line in cfg.provenance)
     if unit_scale_defaulted:
-        overlay = _load_calibration_overlay()
-        if overlay is not None:
-            cfg = replace(cfg, fit=cfg.fit.with_unit_scale(overlay))
+        cfg = replace(cfg, fit=_overlay_calibration(cfg.fit))
     return cfg
 
 
@@ -124,7 +119,10 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> N
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    # streamed: a 4096-stage trace built as one string peaks ~9 MB higher
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _finish(command: str, cfg: ResolvedConfig, stem: Path, outputs: List[Path], seed=None) -> None:
@@ -227,6 +225,9 @@ def cmd_simulate(args) -> int:
     v_as = _parse_float_list(args.va, "--va")
     if len(weights) != len(v_as):
         raise DelaymacError(f"got {len(weights)} weights but {len(v_as)} --va entries")
+    limit = 2**cfg.mult.n_bits
+    if any(abs(w) >= limit for w in weights):
+        raise DelaymacError(f"--weights entries must satisfy |w| < 2**n_bits = {limit}")
     if args.trials < 1:
         raise DelaymacError("--trials must be >= 1")
     template = MultiplierSpec.from_weight(
@@ -234,10 +235,13 @@ def cmd_simulate(args) -> int:
     )
     model = "ideal" if args.model == "noisy" else args.model
     fit = cfg.fit if args.model == "noisy" else None
-    deltas = dot_product_trials(
+    run = simulate_chain(
         weights, v_as, template, cfg.cell, cfg.tech,
         model=model, fit=fit, seed=args.seed, trials=args.trials,
     )
+    for warning in run.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+    deltas = run.deltas
     rows = [(t, float(d)) for t, d in enumerate(deltas)]
     mean = float(np.mean(deltas))
     sigma = float(np.std(deltas, ddof=1)) if args.trials > 1 else 0.0
@@ -248,16 +252,12 @@ def cmd_simulate(args) -> int:
     _write_csv(csv_path, ("trial", "delta_t_s"), rows)
     outputs = [csv_path]
     if args.trials == 1:
-        # single runs also dump the per-stage event trace
-        total, trace = simulate_dot_product(
-            weights, v_as, template, cfg.cell, cfg.tech,
-            model=model, fit=fit, seed=args.seed,
-        )
+        # single runs also dump the per-stage event trace of that trial
         trace_path = stem.parent / (stem.name + ".trace.json")
         _write_json(
             trace_path,
             {
-                "total_delta_t_s": total,
+                "total_delta_t_s": rows[0][1],
                 "stages": [
                     {
                         "stage": s.stage,
@@ -267,42 +267,13 @@ def cmd_simulate(args) -> int:
                         "event_out": {"t_var": s.event_out.t_var, "t_ref": s.event_out.t_ref},
                         "delta_t_s": s.delta_t,
                     }
-                    for s in trace
+                    for s in run.trace(weights, v_as)
                 ],
             },
         )
         outputs.append(trace_path)
     _finish("simulate", cfg, stem, outputs, seed=args.seed)
     print(f"delta_t mean={format_number(mean)} s sigma={format_number(sigma)} s over {args.trials} trials")
-    return EXIT_OK
-
-
-def cmd_sweep(args) -> int:
-    cfg = _resolve_config(args)
-    try:
-        weights = [int(x) for x in args.weights.split(",") if x.strip() != ""]
-    except ValueError as exc:
-        raise DelaymacError(f"--weights expects comma-separated integers: {exc}") from exc
-    parts = args.va_grid.split(":")
-    if len(parts) != 3:
-        raise DelaymacError(f"--va-grid must be lo:hi:steps (got {args.va_grid!r})")
-    lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
-    if steps < 1 or hi < lo:
-        raise DelaymacError("--va-grid needs steps >= 1 and lo <= hi")
-    v_as = [float(v) for v in np.linspace(lo, hi, steps)]
-    template = MultiplierSpec.from_weight(0, cfg.mult.n_bits, cfg.mult.i_star_fastest, cfg.mult.v_a0)
-    model = "ideal" if args.model == "noisy" else args.model
-    fit = cfg.fit if args.model == "noisy" else None
-    rows = transfer_sweep(
-        template, v_as, weights, cfg.cell, cfg.tech,
-        model=model, fit=fit, seed=args.seed if args.model == "noisy" else None,
-        positive_means_greater_va=args.positive_means_greater_va,
-    )
-    stem = _out_stem(args.out)
-    csv_path = Path(args.out) if Path(args.out).suffix else stem.with_suffix(".csv")
-    header = ("v_a", "w", "s", "delta_t_s", "model", "seed")
-    _write_csv(csv_path, header, [[row[k] for k in header] for row in rows])
-    _finish("sweep", cfg, stem, [csv_path], seed=args.seed if args.model == "noisy" else None)
     return EXIT_OK
 
 

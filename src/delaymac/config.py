@@ -152,7 +152,6 @@ def resolve_config(data: dict, source: Optional[str] = None) -> ResolvedConfig:
         if scale is not None:
             if not isinstance(scale, (list, tuple)) or len(scale) != 2:
                 raise FieldValidationError("unit_scale", "must be null or a [s1, s2] pair")
-            scale = tuple(float(s) for s in scale)
         fit_kwargs["unit_scale"] = scale
     else:
         default_scale = JitterFit.__dataclass_fields__["unit_scale"].default

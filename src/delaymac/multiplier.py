@@ -6,6 +6,19 @@ is the fastest cell's divided by 2**i, so bit i contributes 2**i times the
 unit referential delay; cleared bits bypass their cells entirely. A negative
 sign swaps the pair at the input relay, which flips the sign of the
 contributed referential delay exactly.
+
+simulate_chain is the one engine behind every path: the transfer over the
+whole (stage, bit) array in closed form, each stage's set bits summed in
+increasing i before its sign is applied, and event times and the chain total
+as cumulative sums over stages. simulate_multiply is its one-stage case,
+simulate_dot_product its trial 0 and a transfer_sweep row one stage of trial 0.
+
+Jitter stream: one Generator(PCG64(seed)) per evaluation, drawn trial-major,
+then stage-major, then per set bit in increasing i: the variable path, then
+the reference path for pair_factor=2. A trial's total is the deterministic
+total plus sign * sigma * z summed over its traversed cells. Trials are drawn
+in whole-trial blocks of at most JITTER_BLOCK_DRAWS normals and reduced one
+trial at a time, so the block size changes no value.
 """
 
 from __future__ import annotations
@@ -23,6 +36,9 @@ from .params import INPUT_FLOOR_V, CellDesign, JitterFit, MultiplierSpec, Techno
 SeedLike = Union[int, np.random.SeedSequence]
 
 MODELS = ("ideal", "nonlinear")
+
+#: Standard normals drawn per jitter block (1 MiB).
+JITTER_BLOCK_DRAWS = 2**17
 
 
 @dataclass(frozen=True)
@@ -55,36 +71,129 @@ class StageTrace:
     delta_t: float
 
 
-def _check_input(v: float, name: str, tech: TechnologyProfile, warnings: List[str]) -> None:
-    if not 0.0 <= v <= tech.v_dd:
-        raise RegimeError(f"{name}={v} outside [0, v_dd={tech.v_dd}]")
-    if v < INPUT_FLOOR_V:
-        warnings.append(
-            f"{name}={v} below the {INPUT_FLOOR_V} V input floor; referential delay is distorted"
-        )
+@dataclass(frozen=True)
+class ChainResult:
+    """One evaluation of a MAC chain.
+
+    deltas holds every trial's total referential delay. The other arrays
+    describe trial 0: stage_deltas per stage, per_bit the (stage, bit)
+    contributions (0 where a bit is bypassed) and events the (t_var, t_ref)
+    pairs, row 0 the input pair and row j + 1 the pair after stage j.
+    """
+
+    deltas: np.ndarray
+    stage_deltas: np.ndarray
+    per_bit: np.ndarray
+    events: np.ndarray
+    warnings: Tuple[str, ...]
+
+    def trace(self, weights: Sequence[int], v_as: Sequence[float]) -> List[StageTrace]:
+        """Trial 0 stage by stage, given the weights and inputs the chain ran on."""
+        events = [ReferentialEvent(*pair) for pair in self.events.tolist()]
+        return [
+            StageTrace(j, int(w), v_a, events[j], events[j + 1], delta)
+            for j, (w, v_a, delta) in enumerate(zip(weights, v_as, self.stage_deltas.tolist()))
+        ]
 
 
-def _bit_transfer(
-    v_a: float,
-    cell_i: CellDesign,
+def _sum_bits(cells: np.ndarray) -> np.ndarray:
+    """Per-stage sum of a (stage, bit) array, adding the bit columns in increasing i."""
+    return np.add.accumulate(cells, axis=1)[:, -1]
+
+
+def simulate_chain(
+    weights: Sequence[int],
+    v_as: Sequence[float],
+    template: MultiplierSpec,
+    cell: CellDesign,
     tech: TechnologyProfile,
-    model: str,
-    alpha: float,
-    dv_th_override: Optional[float],
-) -> Tuple[float, float]:
-    """(referential delay, reference-path absolute delay) of one cell pair."""
-    v_a0 = cell_i.v_a0
-    distortion = -(cell_i.c_s_eff / cell_i.i_star) * alpha * (v_a - v_a0) ** 2
-    if model == "ideal":
-        rd = -(cell_i.c_s_eff / cell_i.i_star) * (v_a - v_a0) + distortion
-        dv_th = latch_point(cell_i, tech) if dv_th_override is None else dv_th_override
+    model: str = "ideal",
+    fit: Optional[JitterFit] = None,
+    seed: Optional[SeedLike] = None,
+    trials: int = 1,
+    pair_factor: int = 1,
+    ev_in: ReferentialEvent = ReferentialEvent(),
+    distortion_alpha: float = 0.0,
+    dv_th_override: Optional[float] = None,
+) -> ChainResult:
+    """Serial MAC chain: each multiplier consumes the previous event pair.
+
+    weights are signed integers with |w| < 2**n_bits (OverflowError
+    otherwise) and v_as the per-stage analog inputs in [0, v_dd]. Without a
+    fit every trial is the deterministic total.
+    """
+    if model not in MODELS:
+        raise ValueError(f"model must be one of {MODELS} (got {model!r})")
+    if pair_factor not in (1, 2):
+        raise ValueError("pair_factor must be 1 or 2")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if len(weights) != len(v_as):
+        raise ValueError(f"got {len(weights)} weights but {len(v_as)} analog inputs")
+    w, v_as, v_a0 = np.asarray(weights, dtype=np.int64), np.asarray(v_as, dtype=float), template.v_a0
+    if np.any(np.abs(w) >= 2**template.n_bits):
+        raise OverflowError(f"|weight|={np.abs(w).max()} does not fit in {template.n_bits} bits")
+    warnings = []
+    for name, v in (("v_a", v_as), ("v_a0", np.full(len(v_as), v_a0))):
+        outside = v[~((v >= 0.0) & (v <= tech.v_dd))]
+        if outside.size:
+            raise RegimeError(f"{name}={outside[0]} outside [0, v_dd={tech.v_dd}]")
+        if low := np.count_nonzero(v < INPUT_FLOOR_V):
+            warnings.append(
+                f"{low} of {len(v)} stages have {name} below the {INPUT_FLOOR_V} V input floor")
+
+    signs = np.where(w < 0, -1, 1)
+    bits = (np.abs(w)[:, None] >> np.arange(template.n_bits)) & 1 == 1
+    i_star = template.i_star_fastest / 2.0 ** np.arange(template.n_bits)
+    unit = -(cell.c_s_eff / i_star)  # referential delay per volt of each bit
+    dv = v_as[:, None] - v_a0
+    distortion = unit * distortion_alpha * (dv * dv)
+    t_base, sigma = np.zeros(template.n_bits), np.zeros(template.n_bits)
+    for i in np.flatnonzero(bits.any(axis=0)):  # per-bit constants of the columns in use
+        cell_i = replace(cell, i_star=float(i_star[i]), v_a0=v_a0)
         dv0_ref = initial_drop(v_a0, cell_i, tech).dv0
-        t_base = (cell_i.c_star / cell_i.i_star) * (dv_th - dv0_ref)
-    else:
-        t_var = latch_delay(initial_drop(v_a, cell_i, tech).dv0, cell_i, tech).t_d
-        t_base = latch_delay(initial_drop(v_a0, cell_i, tech).dv0, cell_i, tech).t_d
-        rd = (t_var - t_base) + distortion
-    return rd, t_base
+        sigma[i] = total_jitter(cell_i, fit).sigma_total if fit is not None else 0.0
+        if model == "ideal":
+            dv_th = latch_point(cell_i, tech) if dv_th_override is None else dv_th_override
+            t_base[i] = (cell_i.c_star / cell_i.i_star) * (dv_th - dv0_ref)
+        else:
+            t_base[i] = latch_delay(dv0_ref, cell_i, tech).t_d
+    if model == "ideal":
+        rd = unit * dv + distortion
+    else:  # cell.initial_drop and cell.latch_delay over the whole array
+        dv0 = np.where(v_as <= tech.v_thn, 0.0, (cell.c_s_eff / cell.c_star) * (v_as - tech.v_thn))
+        dv0 = dv0 + cell.dq_of_md / cell.c_star
+        hot = bits.any(axis=1) & (dv0 >= tech.v_thp)
+        if hot.any():
+            raise RegimeError(
+                f"dv0={dv0[hot][0]} >= v_thp={tech.v_thp}: detector leaves the exponential regime")
+        ramp = i_star / cell.c_star
+        margin = ramp * cell.c_re / (tech.i_0 * np.exp(dv0 / tech.v_t))[:, None] * (tech.v_thn / tech.v_t)
+        rd = ((tech.v_t / ramp) * np.log1p(margin) - t_base) + distortion
+
+    jitter, j_var, j_ref = np.zeros(trials), 0.0, 0.0
+    if fit is not None:
+        stage, bit = np.nonzero(bits)  # the traversed cells, stage-major
+        path_sigma = np.stack([sigma[bit], -sigma[bit]], axis=1)[:, :pair_factor]
+        cell_weights = (signs[stage, None] * path_sigma).ravel()
+        rng = np.random.Generator(np.random.PCG64(seed))
+        per_block = max(1, JITTER_BLOCK_DRAWS // max(1, cell_weights.size))
+        for start in range(0, trials, per_block):
+            z = rng.standard_normal((min(per_block, trials - start), cell_weights.size))
+            if start == 0:
+                first = z[0].copy()  # trial 0, kept for the per-stage view
+            z *= cell_weights
+            jitter[start:start + len(z)] = z.sum(axis=1)
+        j = np.zeros(bits.shape + (2,))
+        j[stage, bit, :pair_factor] = sigma[bit, None] * first.reshape(-1, pair_factor)
+        j_var, j_ref = j[..., 0], j[..., 1]
+    per_bit = np.where(bits, rd + j_var - j_ref, 0.0)
+    quiet_total = np.cumsum(np.append(0.0, signs * _sum_bits(np.where(bits, rd, 0.0))))[-1]
+    paths = np.stack([_sum_bits(np.where(bits, t_base + rd + j_var, 0.0)),
+                      _sum_bits(np.where(bits, t_base + j_ref, 0.0))], axis=1)
+    paths[signs < 0] = paths[signs < 0, ::-1]  # the relay swaps the wires of a negative stage
+    events = np.cumsum(np.vstack([[ev_in.t_var, ev_in.t_ref], paths]), axis=0)
+    return ChainResult(quiet_total + jitter, signs * _sum_bits(per_bit), per_bit, events, tuple(warnings))
 
 
 def simulate_multiply(
@@ -100,57 +209,23 @@ def simulate_multiply(
     distortion_alpha: float = 0.0,
     dv_th_override: Optional[float] = None,
 ) -> MultiplyResult:
-    """Propagate an event pair through one multiplier.
+    """Propagate an event pair through one multiplier (a one-stage chain).
 
     With the ideal model delta_t is exactly
-    sign * -(c_s_eff / i_star_fastest) * (v_a - v_a0) * W. The nonlinear
-    model runs each traversed cell through the exponential-detector latch
-    delay instead. Passing a calibrated fit plus a seed adds Gaussian jitter
-    per traversed cell on the variable path (both paths for pair_factor=2);
-    jitter draws attach to cells, not wires, so sign antisymmetry is exact at
-    a fixed seed.
+    sign * -(c_s_eff / i_star_fastest) * (v_a - v_a0) * W. Jitter needs a fit
+    and a seed; it attaches to cells, not wires, so sign antisymmetry is
+    exact at a fixed seed.
     """
-    if model not in MODELS:
-        raise ValueError(f"model must be one of {MODELS} (got {model!r})")
-    if pair_factor not in (1, 2):
-        raise ValueError("pair_factor must be 1 or 2")
-    warnings: List[str] = []
-    _check_input(v_a, "v_a", tech, warnings)
-    _check_input(spec.v_a0, "v_a0", tech, warnings)
-
-    rng = None
-    if fit is not None and seed is not None:
-        rng = np.random.Generator(np.random.PCG64(seed))
-
-    per_bit = [0.0] * spec.n_bits
-    delta_core = 0.0
-    var_path = 0.0   # total absolute delay of the v_a-input cells
-    ref_path = 0.0   # total absolute delay of the v_a0-input cells
-    for i, w in enumerate(spec.weight_bits):
-        if w == 0:
-            continue
-        cell_i = replace(cell, i_star=spec.bit_current(i), v_a0=spec.v_a0)
-        rd, t_base = _bit_transfer(v_a, cell_i, tech, model, distortion_alpha, dv_th_override)
-        j_var = j_ref = 0.0
-        if rng is not None:
-            sigma = total_jitter(cell_i, fit).sigma_total
-            j_var = sigma * rng.standard_normal()
-            if pair_factor == 2:
-                j_ref = sigma * rng.standard_normal()
-        contribution = rd + j_var - j_ref
-        per_bit[i] = contribution
-        delta_core += contribution
-        var_path += t_base + rd + j_var
-        ref_path += t_base + j_ref
-
-    delta_t = spec.sign * delta_core
-    if spec.sign == 1:
-        out = ReferentialEvent(t_var=ev_in.t_var + var_path, t_ref=ev_in.t_ref + ref_path)
-    else:
-        # relay swap: the variable wire runs through the reference-input cells
-        out = ReferentialEvent(t_var=ev_in.t_var + ref_path, t_ref=ev_in.t_ref + var_path)
+    run = simulate_chain(
+        [spec.sign * spec.weight_value], [v_a], spec, cell, tech, model=model,
+        fit=fit if seed is not None else None, seed=seed, pair_factor=pair_factor, ev_in=ev_in,
+        distortion_alpha=distortion_alpha, dv_th_override=dv_th_override,
+    )
     return MultiplyResult(
-        out=out, delta_t=delta_t, per_bit_delays=tuple(per_bit), warnings=tuple(warnings)
+        out=ReferentialEvent(*run.events[1].tolist()),
+        delta_t=float(run.stage_deltas[0]),
+        per_bit_delays=tuple(run.per_bit[0].tolist()),
+        warnings=run.warnings,
     )
 
 
@@ -166,40 +241,16 @@ def simulate_dot_product(
     pair_factor: int = 1,
     ev_in: ReferentialEvent = ReferentialEvent(),
 ) -> Tuple[float, List[StageTrace]]:
-    """Serial MAC chain: each multiplier consumes the previous event pair.
+    """Trial 0 of a MAC chain: its total referential delay and per-stage trace.
 
-    weights are signed integers with |w| < 2**n_bits (OverflowError
-    otherwise); v_as the per-stage analog inputs. Returns the total
-    referential delay (the sum of per-stage delta_t) and a per-stage trace.
+    Jitter needs a fit and a seed; the total equals dot_product_trials(...)[0].
     """
-    if len(weights) != len(v_as):
-        raise ValueError(f"got {len(weights)} weights but {len(v_as)} analog inputs")
-    stage_seeds: List[Optional[np.random.SeedSequence]]
-    if seed is not None:
-        stage_seeds = list(np.random.SeedSequence(seed).spawn(len(weights)))
-    else:
-        stage_seeds = [None] * len(weights)
-
-    trace: List[StageTrace] = []
-    event = ev_in
-    total = 0.0
-    for j, (w, v_a) in enumerate(zip(weights, v_as)):
-        spec = MultiplierSpec.from_weight(
-            int(w), template.n_bits, template.i_star_fastest, template.v_a0
-        )
-        result = simulate_multiply(
-            event, spec, v_a, cell, tech,
-            model=model, fit=fit, seed=stage_seeds[j], pair_factor=pair_factor,
-        )
-        trace.append(
-            StageTrace(
-                stage=j, weight=int(w), v_a=v_a,
-                event_in=event, event_out=result.out, delta_t=result.delta_t,
-            )
-        )
-        total += result.delta_t
-        event = result.out
-    return total, trace
+    run = simulate_chain(
+        weights, v_as, template, cell, tech,
+        model=model, fit=fit if seed is not None else None, seed=seed,
+        pair_factor=pair_factor, ev_in=ev_in,
+    )
+    return float(run.deltas[0]), run.trace(weights, v_as)
 
 
 def dot_product_trials(
@@ -214,38 +265,11 @@ def dot_product_trials(
     trials: int = 1,
     pair_factor: int = 1,
 ) -> np.ndarray:
-    """Monte-Carlo repetitions of a MAC chain, one total delay per trial.
-
-    The deterministic transfer is evaluated once; jitter is then drawn per
-    traversed cell per path with the trial axis vectorized, which matches
-    summing independent per-cell draws. Without a fit every trial returns
-    the same deterministic value.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if pair_factor not in (1, 2):
-        raise ValueError("pair_factor must be 1 or 2")
-    base, _ = simulate_dot_product(weights, v_as, template, cell, tech, model=model)
-    deltas = np.full(trials, base, dtype=float)
-    if fit is None:
-        return deltas
-    rng = np.random.Generator(np.random.PCG64(seed))
-    for w in weights:
-        spec = MultiplierSpec.from_weight(
-            int(w), template.n_bits, template.i_star_fastest, template.v_a0
-        )
-        for i, bit in enumerate(spec.weight_bits):
-            if bit == 0:
-                continue
-            cell_i = replace(cell, i_star=spec.bit_current(i), v_a0=spec.v_a0)
-            sigma = total_jitter(cell_i, fit).sigma_total
-            j_var = sigma * rng.standard_normal(trials)
-            if pair_factor == 2:
-                j_ref = sigma * rng.standard_normal(trials)
-                deltas += spec.sign * (j_var - j_ref)
-            else:
-                deltas += spec.sign * j_var
-    return deltas
+    """Monte-Carlo repetitions of a MAC chain, one total delay per trial."""
+    return simulate_chain(
+        weights, v_as, template, cell, tech,
+        model=model, fit=fit, seed=seed, trials=trials, pair_factor=pair_factor,
+    ).deltas
 
 
 def differential_multiply(
@@ -286,34 +310,27 @@ def transfer_sweep(
 ) -> List[dict]:
     """Transfer-characteristic table over a weight set and an input grid.
 
-    Row keys: v_a, w (weight magnitude), s (sign), delta_t_s, model, seed.
-    positive_means_greater_va flips the sign of the reported delay so that
-    inputs above v_a0 read as positive products (presentation only; the
-    stored convention keeps v_a > v_a0 negative).
+    Each row, weight-major, is one stage of trial 0 of a chain. Row keys: v_a,
+    w (weight magnitude), s (sign), delta_t_s, model, seed.
+    positive_means_greater_va flips the reported delay so that inputs above
+    v_a0 read as positive products (presentation only; the stored convention
+    keeps v_a > v_a0 negative).
     """
-    runs = [(w, v_a) for w in weights for v_a in v_a_values]
-    if seed is not None:
-        run_seeds = list(np.random.SeedSequence(seed).spawn(len(runs)))
-    else:
-        run_seeds = [None] * len(runs)
-    rows = []
-    for (w, v_a), run_seed in zip(runs, run_seeds):
-        spec = MultiplierSpec.from_weight(
-            int(w), template.n_bits, template.i_star_fastest, template.v_a0
-        )
-        result = simulate_multiply(
-            ReferentialEvent(), spec, v_a, cell, tech,
-            model=model, fit=fit, seed=run_seed, pair_factor=pair_factor,
-        )
-        delta = -result.delta_t if positive_means_greater_va else result.delta_t
-        rows.append(
-            {
-                "v_a": v_a,
-                "w": abs(int(w)),
-                "s": spec.sign,
-                "delta_t_s": delta,
-                "model": model,
-                "seed": seed if seed is not None else "",
-            }
-        )
-    return rows
+    w_runs = np.repeat(np.asarray(weights, dtype=np.int64), len(v_a_values)).tolist()
+    v_runs = np.tile(np.asarray(v_a_values, dtype=float), len(weights)).tolist()
+    deltas = simulate_chain(
+        w_runs, v_runs, template, cell, tech,
+        model=model, fit=fit if seed is not None else None, seed=seed, pair_factor=pair_factor,
+    ).stage_deltas
+    flip = -1.0 if positive_means_greater_va else 1.0
+    return [
+        {
+            "v_a": v_a,
+            "w": abs(w),
+            "s": -1 if w < 0 else 1,
+            "delta_t_s": flip * delta,
+            "model": model,
+            "seed": seed if seed is not None else "",
+        }
+        for w, v_a, delta in zip(w_runs, v_runs, deltas.tolist())
+    ]

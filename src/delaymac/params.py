@@ -8,6 +8,7 @@ across threads without synchronization. All values are SI.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
@@ -190,9 +191,14 @@ class JitterFit:
         _require(self.p1 > 0, "p1", "must be > 0")
         _require(self.q2 > 0, "q2", "must be > 0")
         if self.unit_scale is not None:
-            scale = tuple(float(s) for s in self.unit_scale)
+            try:
+                scale = tuple(float(s) for s in self.unit_scale)
+            except (TypeError, ValueError) as exc:
+                raise FieldValidationError(
+                    "unit_scale", f"entries must be numbers (got {self.unit_scale!r})"
+                ) from exc
             _require(len(scale) == 2, "unit_scale", "must be a (s1, s2) pair")
-            _require(all(s > 0 for s in scale), "unit_scale", "entries must be > 0")
+            _require(all(0 < s < math.inf for s in scale), "unit_scale", "entries must be finite and > 0")
             object.__setattr__(self, "unit_scale", scale)
 
     @property
@@ -200,4 +206,4 @@ class JitterFit:
         return self.unit_scale is not None
 
     def with_unit_scale(self, unit_scale: Tuple[float, float]) -> "JitterFit":
-        return replace(self, unit_scale=tuple(float(s) for s in unit_scale))
+        return replace(self, unit_scale=tuple(unit_scale))
