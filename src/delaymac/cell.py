@@ -14,8 +14,6 @@ import warnings as _warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from scipy import integrate
-
 from .errors import QuadratureError, RegimeError
 from .params import CellDesign, TechnologyProfile
 
@@ -111,6 +109,9 @@ def referential_delay_varcap(
     of the reference and variable cell. With C(v) == c_star this reduces to
     referential_delay_ideal.
     """
+    # imported here: no CLI command needs scipy, and it dominates start-up time
+    from scipy import integrate
+
     lo = tech.v_dd - initial_drop(cell.v_a0, cell, tech).dv0
     hi = tech.v_dd - initial_drop(v_a, cell, tech).dv0
     for probe in (lo, 0.5 * (lo + hi), hi):

@@ -27,6 +27,7 @@ from .config import ResolvedConfig, default_config, load_config
 from .design_space import (
     DEFAULT_CALIBRATION_TARGETS,
     DEFAULT_GRID_POINTS,
+    DesignRegion,
     calibrate_units,
     constraint_region,
     default_grids,
@@ -118,6 +119,24 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> N
             writer.writerow([format_number(v) if isinstance(v, float) else v for v in row])
 
 
+# "c1,c2,c3,feasible\n" for each mask code c1<<3 | c2<<2 | c3<<1 | feasible
+_REGION_TAILS = tuple(f"{k >> 3},{k >> 2 & 1},{k >> 1 & 1},{k & 1}\n" for k in range(16))
+
+
+def _write_region_csv(path: Path, region: DesignRegion) -> None:
+    """The bytes _write_csv gives for region.csv_rows(), from each grid axis
+    formatted once and one join per c_star row."""
+    i_cells = [format_number(i) + "," for i in region.grid_istar]
+    codes = np.zeros(region.feasible.shape, dtype=np.uint8)
+    for mask in (region.mask_c1, region.mask_c2, region.mask_c3, region.feasible):
+        codes = (codes << 1) | mask
+    with open(path, "w", newline="") as fh:
+        fh.write("c_star,i_star,c1,c2,c3,feasible\n")
+        for c, row in zip(region.grid_cstar, codes.tolist()):
+            c_cell = format_number(c) + ","
+            fh.write("".join([c_cell + i_cell + _REGION_TAILS[k] for i_cell, k in zip(i_cells, row)]))
+
+
 def _write_json(path: Path, payload: dict) -> None:
     # streamed: a 4096-stage trace built as one string peaks ~9 MB higher
     with open(path, "w") as fh:
@@ -176,7 +195,7 @@ def cmd_region(args) -> int:
     stem = _out_stem(args.out)
     csv_path = Path(args.out) if Path(args.out).suffix else stem.with_suffix(".csv")
     summary_path = stem.parent / (stem.name + ".summary.json")
-    _write_csv(csv_path, ("c_star", "i_star", "c1", "c2", "c3", "feasible"), region.csv_rows())
+    _write_region_csv(csv_path, region)
     _write_json(summary_path, region.summary())
     _finish("region", cfg, stem, [csv_path, summary_path])
     if region.is_empty:
@@ -230,6 +249,8 @@ def cmd_simulate(args) -> int:
         raise DelaymacError(f"--weights entries must satisfy |w| < 2**n_bits = {limit}")
     if args.trials < 1:
         raise DelaymacError("--trials must be >= 1")
+    if args.seed < 0:
+        raise DelaymacError(f"--seed must be >= 0 (got {args.seed})")
     template = MultiplierSpec.from_weight(
         0, cfg.mult.n_bits, cfg.mult.i_star_fastest, cfg.mult.v_a0
     )

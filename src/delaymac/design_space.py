@@ -100,20 +100,14 @@ class DesignRegion:
         return not bool(self.feasible.any())
 
     def csv_rows(self) -> List[Tuple[float, float, int, int, int, int]]:
-        rows = []
-        for ci, c in enumerate(self.grid_cstar):
-            for ii, i in enumerate(self.grid_istar):
-                rows.append(
-                    (
-                        float(c),
-                        float(i),
-                        int(self.mask_c1[ci, ii]),
-                        int(self.mask_c2[ci, ii]),
-                        int(self.mask_c3[ci, ii]),
-                        int(self.feasible[ci, ii]),
-                    )
-                )
-        return rows
+        """One (c_star, i_star, c1, c2, c3, feasible) row per grid point, c_star-major."""
+        n_c, n_i = self.feasible.shape
+        masks = (self.mask_c1, self.mask_c2, self.mask_c3, self.feasible)
+        columns = [
+            np.repeat(np.asarray(self.grid_cstar, dtype=float), n_i),
+            np.tile(np.asarray(self.grid_istar, dtype=float), n_c),
+        ] + [np.asarray(m, dtype=int).ravel() for m in masks]
+        return list(zip(*(col.tolist() for col in columns)))
 
     def summary(self) -> dict:
         out = {
