@@ -1,9 +1,18 @@
 """Command-line interface.
 
-Subcommands wrap the library into reproducible file-emitting runs: every
-command writes its outputs plus a run manifest (resolved-config digest, seed,
-output list, tool version) so a rerun with the same config and seed is
-byte-identical. Exit codes: 0 success, 1 usage/config error, 2 domain
+Subcommands wrap the library into reproducible file-emitting runs; a rerun
+with the same config and seed is byte-identical.
+
+Outputs are named from the stem, --out without its suffix: each output
+is the stem plus its own suffix (.summary.json, .trace.json, .json, .csv),
+except that region, maxbits and simulate write their CSV to --out itself
+when it has a suffix. calibrate has no --out; it writes calibration.json
+in $DELAYMAC_CONFIG_DIR (default: the working directory).
+
+A run that wrote outputs (exit 0, or region's exit 2) also writes
+<stem>.manifest.json: the command, resolved-config digest, seed, outputs in
+write order and tool version. An exit 1 or a failed calibrate writes no
+manifest. Exit codes: 0 success, 1 usage/config error, 2 domain
 infeasibility (empty region, failed calibration).
 """
 
@@ -15,7 +24,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -58,23 +67,26 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_ERROR)
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    config_hash: str
-    seed: Optional[int]
-    outputs: Tuple[str, ...]
-    tool_version: str = __version__
+@dataclass
+class Run:
+    """One subcommand run, as its manifest records it. Handlers take every
+    output path from output(), so outputs lists them in write order."""
 
-    def write(self, path: Path) -> None:
-        payload = {
-            "command": self.command,
-            "config_hash": self.config_hash,
-            "seed": self.seed,
-            "outputs": list(self.outputs),
-            "tool_version": self.tool_version,
-        }
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    command: str
+    cfg: ResolvedConfig
+    stem: Path
+    seed: Optional[int] = None
+    outputs: List[Path] = field(default_factory=list)
+
+    def output(self, suffix: str) -> Path:
+        path = self.stem.parent / (self.stem.name + suffix)
+        self.outputs.append(path)
+        return path
+
+
+# perfbench/tracer.py reads cli.RunManifest when it instruments the CLI and
+# raises AttributeError without it; drop this alias with that patch
+RunManifest = Run
 
 
 def config_dir() -> Path:
@@ -104,11 +116,6 @@ def _resolve_config(args) -> ResolvedConfig:
     if unit_scale_defaulted:
         cfg = replace(cfg, fit=_overlay_calibration(cfg.fit))
     return cfg
-
-
-def _out_stem(out: str) -> Path:
-    path = Path(out)
-    return path.with_suffix("") if path.suffix else path
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
@@ -144,16 +151,6 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _finish(command: str, cfg: ResolvedConfig, stem: Path, outputs: List[Path], seed=None) -> None:
-    manifest = RunManifest(
-        command=command,
-        config_hash=cfg.digest(),
-        seed=seed,
-        outputs=tuple(str(p) for p in outputs),
-    )
-    manifest.write(stem.parent / (stem.name + ".manifest.json"))
-
-
 def _parse_span(text: str) -> Tuple[float, float]:
     parts = text.split(":")
     if len(parts) != 2:
@@ -184,20 +181,16 @@ def _add_grid_flags(parser) -> None:
                         help="fastest-cell current span (default 50n:20u)")
 
 
-def cmd_region(args) -> int:
-    cfg = _resolve_config(args)
+def cmd_region(args, run: Run) -> int:
+    cfg = run.cfg
     if args.bits < 1:
         raise DelaymacError(f"--bits must be >= 1 (got {args.bits})")
     c_grid, i_grid = _grids(args)
     region = constraint_region(
         args.bits, c_grid, i_grid, cfg.cell, cfg.tech, cfg.fit, epsilon=args.epsilon
     )
-    stem = _out_stem(args.out)
-    csv_path = Path(args.out) if Path(args.out).suffix else stem.with_suffix(".csv")
-    summary_path = stem.parent / (stem.name + ".summary.json")
-    _write_region_csv(csv_path, region)
-    _write_json(summary_path, region.summary())
-    _finish("region", cfg, stem, [csv_path, summary_path])
+    _write_region_csv(run.output(Path(args.out).suffix or ".csv"), region)
+    _write_json(run.output(".summary.json"), region.summary())
     if region.is_empty:
         print(f"n={args.bits}: no feasible design point", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -206,8 +199,8 @@ def cmd_region(args) -> int:
     return EXIT_OK
 
 
-def cmd_maxbits(args) -> int:
-    cfg = _resolve_config(args)
+def cmd_maxbits(args, run: Run) -> int:
+    cfg = run.cfg
     parts = args.epsilon_grid.split(":")
     if len(parts) != 3:
         raise DelaymacError(f"--epsilon-grid must be lo:hi:steps (got {args.epsilon_grid!r})")
@@ -221,10 +214,7 @@ def cmd_maxbits(args) -> int:
     epsilons = [float(eps) for eps in np.linspace(lo, hi, steps)]
     n_max = max_bits_curve(epsilons, c_grid, i_grid, cfg.cell, cfg.tech, cfg.fit)
     rows = list(zip(epsilons, n_max))
-    stem = _out_stem(args.out)
-    csv_path = Path(args.out) if Path(args.out).suffix else stem.with_suffix(".csv")
-    _write_csv(csv_path, ("epsilon", "n_max"), rows)
-    _finish("maxbits", cfg, stem, [csv_path])
+    _write_csv(run.output(Path(args.out).suffix or ".csv"), ("epsilon", "n_max"), rows)
     return EXIT_OK
 
 
@@ -235,8 +225,8 @@ def _parse_float_list(text: str, flag: str) -> List[float]:
         raise DelaymacError(f"{flag} expects a comma-separated number list: {exc}") from exc
 
 
-def cmd_simulate(args) -> int:
-    cfg = _resolve_config(args)
+def cmd_simulate(args, run: Run) -> int:
+    cfg = run.cfg
     try:
         weights = [int(x) for x in args.weights.split(",") if x.strip() != ""]
     except ValueError as exc:
@@ -251,32 +241,25 @@ def cmd_simulate(args) -> int:
         raise DelaymacError("--trials must be >= 1")
     if args.seed < 0:
         raise DelaymacError(f"--seed must be >= 0 (got {args.seed})")
-    template = MultiplierSpec.from_weight(
-        0, cfg.mult.n_bits, cfg.mult.i_star_fastest, cfg.mult.v_a0
-    )
     model = "ideal" if args.model == "noisy" else args.model
     fit = cfg.fit if args.model == "noisy" else None
-    run = simulate_chain(
-        weights, v_as, template, cfg.cell, cfg.tech,
+    chain = simulate_chain(
+        weights, v_as, cfg.mult, cfg.cell, cfg.tech,
         model=model, fit=fit, seed=args.seed, trials=args.trials,
     )
-    for warning in run.warnings:
+    for warning in chain.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    deltas = run.deltas
+    deltas = chain.deltas
     rows = [(t, float(d)) for t, d in enumerate(deltas)]
     mean = float(np.mean(deltas))
     sigma = float(np.std(deltas, ddof=1)) if args.trials > 1 else 0.0
     rows.append(("mean", mean))
     rows.append(("sigma", sigma))
-    stem = _out_stem(args.out)
-    csv_path = Path(args.out) if Path(args.out).suffix else stem.with_suffix(".csv")
-    _write_csv(csv_path, ("trial", "delta_t_s"), rows)
-    outputs = [csv_path]
+    _write_csv(run.output(Path(args.out).suffix or ".csv"), ("trial", "delta_t_s"), rows)
     if args.trials == 1:
         # single runs also dump the per-stage event trace of that trial
-        trace_path = stem.parent / (stem.name + ".trace.json")
         _write_json(
-            trace_path,
+            run.output(".trace.json"),
             {
                 "total_delta_t_s": rows[0][1],
                 "stages": [
@@ -288,18 +271,16 @@ def cmd_simulate(args) -> int:
                         "event_out": {"t_var": s.event_out.t_var, "t_ref": s.event_out.t_ref},
                         "delta_t_s": s.delta_t,
                     }
-                    for s in run.trace(weights, v_as)
+                    for s in chain.trace(weights, v_as)
                 ],
             },
         )
-        outputs.append(trace_path)
-    _finish("simulate", cfg, stem, outputs, seed=args.seed)
     print(f"delta_t mean={format_number(mean)} s sigma={format_number(sigma)} s over {args.trials} trials")
     return EXIT_OK
 
 
-def cmd_energy(args) -> int:
-    cfg = _resolve_config(args)
+def cmd_energy(args, run: Run) -> int:
+    cfg = run.cfg
     n_bits = args.bits if args.bits is not None else cfg.mult.n_bits
     if n_bits < 1:
         raise DelaymacError(f"--bits must be >= 1 (got {n_bits})")
@@ -310,21 +291,17 @@ def cmd_energy(args) -> int:
     else:
         spec = MultiplierSpec.from_weight(2**n_bits - 1, n_bits, cfg.mult.i_star_fastest, cfg.mult.v_a0)
     breakdown = mac_energy(spec, cfg.cell, cfg.tech, mode=args.mode, rho=args.rho)
-    stem = _out_stem(args.out)
-    json_path = stem.parent / (stem.name + ".json")
-    csv_path = stem.parent / (stem.name + ".csv")
-    _write_json(json_path, breakdown.to_dict())
     d = breakdown.to_dict()
+    _write_json(run.output(".json"), d)
     comp_rows = [(k, d[k], d[k] / breakdown.n_bits) for k in ("e_cstar", "e_td1", "e_td2", "e_pu", "e_inv")]
     comp_rows.append(("total", breakdown.total, breakdown.per_bit))
-    _write_csv(csv_path, ("component", "energy_j_per_mac", "energy_j_per_mac_per_bit"), comp_rows)
-    _finish("energy", cfg, stem, [json_path, csv_path])
+    _write_csv(run.output(".csv"), ("component", "energy_j_per_mac", "energy_j_per_mac_per_bit"), comp_rows)
     print(f"total {format_number(breakdown.total)} J/MAC ({format_number(breakdown.per_bit)} J/MAC/bit)")
     return EXIT_OK
 
 
-def cmd_bias(args) -> int:
-    cfg = _resolve_config(args)
+def cmd_bias(args, run: Run) -> int:
+    cfg = run.cfg
     if args.bits < 1 or args.bits > 8:
         raise DelaymacError(f"--bits must be in [1, 8] (got {args.bits})")
     if args.vref is not None:
@@ -333,17 +310,13 @@ def cmd_bias(args) -> int:
         i_bias = coerce_quantity(args.ibias) if args.ibias else cfg.mult.i_star_fastest
         v_ref = v_ref_for_current(i_bias, cfg.tech)
     plan = bias_plan(v_ref, args.bits, cfg.tech)
-    stem = _out_stem(args.out)
-    json_path = stem.parent / (stem.name + ".json")
-    csv_path = stem.parent / (stem.name + ".csv")
-    _write_json(json_path, plan.to_dict())
-    _write_csv(csv_path, ("i", "current_a", "v_b1", "v_b2"), plan.csv_rows())
-    _finish("bias", cfg, stem, [json_path, csv_path])
+    _write_json(run.output(".json"), plan.to_dict())
+    _write_csv(run.output(".csv"), ("i", "current_a", "v_b1", "v_b2"), plan.csv_rows())
     return EXIT_OK
 
 
-def cmd_calibrate(args) -> int:
-    cfg = _resolve_config(args)
+def cmd_calibrate(args, run: Run) -> int:
+    cfg = run.cfg
     targets = list(DEFAULT_CALIBRATION_TARGETS)
     if args.targets:
         try:
@@ -356,11 +329,8 @@ def cmd_calibrate(args) -> int:
     except CalibrationError as exc:
         print(f"calibration failed: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    out_dir = config_dir()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / CALIBRATION_FILENAME
-    _write_json(out_path, result.to_dict())
-    _finish("calibrate", cfg, out_dir / "calibration", [out_path])
+    run.stem.parent.mkdir(parents=True, exist_ok=True)
+    _write_json(run.output(".json"), result.to_dict())
     print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -416,10 +386,23 @@ def build_parser() -> _Parser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # calibrate has no --out: it writes calibration.json in the config dir
+    out = Path(args.out) if hasattr(args, "out") else config_dir() / "calibration"
+    stem = out.with_suffix("") if out.suffix else out
     try:
-        return args.func(args)
+        run = Run(args.command, _resolve_config(args), stem, getattr(args, "seed", None))
+        code = args.func(args, run)
+        if run.outputs:
+            manifest = {
+                "command": run.command,
+                "config_hash": run.cfg.digest(),
+                "seed": run.seed,
+                "outputs": [str(p) for p in run.outputs],
+                "tool_version": __version__,
+            }
+            _write_json(run.output(".manifest.json"), manifest)
+        return code
     except DelaymacError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -24,12 +24,21 @@ from .params import (
 )
 from .units import coerce_quantity, format_number
 
-TECH_KEYS = ("v_dd", "v_thn", "v_thp", "temperature", "v_t", "i_0", "gamma", "mu_wl_cox")
+# v_t last: its default is kT/q at the resolved temperature
+TECH_KEYS = ("v_dd", "v_thn", "v_thp", "temperature", "i_0", "gamma", "mu_wl_cox", "v_t")
 CELL_KEYS = ("c_star", "c_s_eff", "dq_of_md", "dq_of_pd", "c_re", "i_star", "v_a0")
 MULT_KEYS = ("n_bits", "sign", "weight_bits", "i_star_fastest")
 FIT_KEYS = ("k1", "p1", "k2", "q2", "unit_scale")
 
 KNOWN_KEYS = frozenset(TECH_KEYS + CELL_KEYS + MULT_KEYS + FIT_KEYS)
+
+# built in this order, so a config with several bad keys names the same one first
+_RECORDS = (
+    ("tech", TechnologyProfile, TECH_KEYS),
+    ("cell", CellDesign, CELL_KEYS),
+    ("mult", MultiplierSpec, MULT_KEYS),
+    ("fit", JitterFit, FIT_KEYS),
+)
 
 
 @dataclass(frozen=True)
@@ -46,17 +55,10 @@ class ResolvedConfig:
     def to_dict(self) -> dict:
         """All resolved values, keyed like the config file."""
         out = {}
-        for key in TECH_KEYS:
-            out[key] = getattr(self.tech, key)
-        for key in CELL_KEYS:
-            out[key] = getattr(self.cell, key)
-        out["n_bits"] = self.mult.n_bits
-        out["sign"] = self.mult.sign
-        out["weight_bits"] = list(self.mult.weight_bits)
-        out["i_star_fastest"] = self.mult.i_star_fastest
-        for key in ("k1", "p1", "k2", "q2"):
-            out[key] = getattr(self.fit, key)
-        out["unit_scale"] = list(self.fit.unit_scale) if self.fit.unit_scale else None
+        for name, _, keys in _RECORDS:
+            for key in keys:
+                value = getattr(getattr(self, name), key)
+                out[key] = list(value) if isinstance(value, tuple) else value
         return out
 
     def to_json(self) -> str:
@@ -68,11 +70,30 @@ class ResolvedConfig:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _quantity(raw: dict, key: str):
+def _convert(key: str, value):
+    """A raw config value as its record field takes it."""
+    if key in ("n_bits", "sign"):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise FieldValidationError(key, f"must be an integer (got {value!r})")
+        return value
+    if key == "weight_bits":
+        if not isinstance(value, (list, tuple)):
+            raise FieldValidationError(key, "must be a list of 0/1")
+        return tuple(value)
+    if key == "unit_scale":
+        if value is not None and (not isinstance(value, (list, tuple)) or len(value) != 2):
+            raise FieldValidationError(key, "must be null or a [s1, s2] pair")
+        return value
     try:
-        return coerce_quantity(raw[key])
+        return coerce_quantity(value)
     except QuantityError as exc:
         raise FieldValidationError(key, str(exc)) from exc
+
+
+def _show(value) -> str:
+    if isinstance(value, float):
+        return format_number(value)
+    return repr(list(value) if isinstance(value, tuple) else value)
 
 
 def resolve_config(data: dict, source: Optional[str] = None) -> ResolvedConfig:
@@ -84,84 +105,30 @@ def resolve_config(data: dict, source: Optional[str] = None) -> ResolvedConfig:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
 
     provenance: List[str] = []
-    values = dict(data)
 
-    def take(key: str, default, conv):
-        if key in values:
-            return conv(values, key)
-        provenance.append(f"{key} = {_show(default)} (default)")
+    def take(cls, key: str, kwargs: dict):
+        if key in data:
+            return _convert(key, data[key])
+        default, note = cls.__dataclass_fields__[key].default, "default"
+        if key == "v_t":
+            default = thermal_voltage(kwargs["temperature"])
+            note = f"default: kT/q at {_show(kwargs['temperature'])} K"
+        elif key == "weight_bits":
+            default, note = (1,) * kwargs["n_bits"], "default: all ones"
+        elif key == "unit_scale":
+            note = "default: packaged calibration"
+        provenance.append(f"{key} = {_show(default)} ({note})")
         return default
 
-    def _show(v) -> str:
-        if isinstance(v, float):
-            return format_number(v)
-        return repr(v)
-
-    tech_kwargs = {}
-    for key in ("v_dd", "v_thn", "v_thp", "temperature", "i_0", "gamma", "mu_wl_cox"):
-        tech_kwargs[key] = take(key, TechnologyProfile.__dataclass_fields__[key].default, _quantity)
-    if "v_t" in values:
-        tech_kwargs["v_t"] = _quantity(values, "v_t")
-    else:
-        provenance.append(
-            f"v_t = {format_number(thermal_voltage(tech_kwargs['temperature']))}"
-            f" (default: kT/q at {_show(tech_kwargs['temperature'])} K)"
-        )
-    tech = TechnologyProfile(**tech_kwargs)
-
-    cell_kwargs = {}
-    for key in CELL_KEYS:
-        cell_kwargs[key] = take(key, CellDesign.__dataclass_fields__[key].default, _quantity)
-    cell = CellDesign(**cell_kwargs)
-
-    def _int(raw, key):
-        v = raw[key]
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise FieldValidationError(key, f"must be an integer (got {v!r})")
-        return v
-
-    def _bits(raw, key):
-        v = raw[key]
-        if not isinstance(v, (list, tuple)):
-            raise FieldValidationError(key, "must be a list of 0/1")
-        return tuple(v)
-
-    n_bits = take("n_bits", MultiplierSpec.__dataclass_fields__["n_bits"].default, _int)
-    sign = take("sign", MultiplierSpec.__dataclass_fields__["sign"].default, _int)
-    if "weight_bits" in values:
-        weight_bits = _bits(values, "weight_bits")
-    else:
-        weight_bits = tuple([1] * n_bits)
-        provenance.append(f"weight_bits = {list(weight_bits)!r} (default: all ones)")
-    i_star_fastest = take(
-        "i_star_fastest", MultiplierSpec.__dataclass_fields__["i_star_fastest"].default, _quantity
-    )
-    mult = MultiplierSpec(
-        n_bits=n_bits,
-        sign=sign,
-        weight_bits=weight_bits,
-        i_star_fastest=i_star_fastest,
-        v_a0=cell.v_a0,
-    )
-
-    fit_kwargs = {}
-    for key in ("k1", "p1", "k2", "q2"):
-        fit_kwargs[key] = take(key, JitterFit.__dataclass_fields__[key].default, _quantity)
-    if "unit_scale" in values:
-        scale = values["unit_scale"]
-        if scale is not None:
-            if not isinstance(scale, (list, tuple)) or len(scale) != 2:
-                raise FieldValidationError("unit_scale", "must be null or a [s1, s2] pair")
-        fit_kwargs["unit_scale"] = scale
-    else:
-        default_scale = JitterFit.__dataclass_fields__["unit_scale"].default
-        fit_kwargs["unit_scale"] = default_scale
-        provenance.append(f"unit_scale = {list(default_scale)!r} (default: packaged calibration)")
-    fit = JitterFit(**fit_kwargs)
-
-    return ResolvedConfig(
-        tech=tech, cell=cell, mult=mult, fit=fit, provenance=tuple(provenance), source=source
-    )
+    records = {}
+    for name, cls, keys in _RECORDS:
+        kwargs = {}
+        for key in keys:
+            kwargs[key] = take(cls, key, kwargs)
+        if cls is MultiplierSpec:
+            kwargs["v_a0"] = records["cell"].v_a0
+        records[name] = cls(**kwargs)
+    return ResolvedConfig(**records, provenance=tuple(provenance), source=source)
 
 
 def load_config(path: Union[str, Path]) -> ResolvedConfig:

@@ -32,6 +32,11 @@ def _require(cond: bool, fieldname: str, message: str) -> None:
         raise FieldValidationError(fieldname, message)
 
 
+def _require_finite(record, *names: str) -> None:
+    for name in names:
+        _require(math.isfinite(getattr(record, name)), name, "must be finite")
+
+
 @dataclass(frozen=True)
 class TechnologyProfile:
     """Process-level constants shared by every cell of a design.
@@ -52,6 +57,7 @@ class TechnologyProfile:
     def __post_init__(self):
         if self.v_t is None:
             object.__setattr__(self, "v_t", thermal_voltage(self.temperature))
+        _require_finite(self, "v_dd", "v_thn", "v_thp", "temperature", "v_t", "i_0", "gamma", "mu_wl_cox")
         _require(self.temperature > 0, "temperature", "must be > 0 K")
         _require(self.v_dd > self.v_thn > 0, "v_thn", "requires v_dd > v_thn > 0")
         _require(self.v_dd > self.v_thp > 0, "v_thp", "requires v_dd > v_thp > 0")
@@ -85,6 +91,7 @@ class CellDesign:
     v_a0: float = 0.75
 
     def __post_init__(self):
+        _require_finite(self, "c_star", "c_s_eff", "dq_of_md", "dq_of_pd", "c_re", "i_star", "v_a0")
         for name in ("c_star", "c_re", "i_star"):
             _require(getattr(self, name) > 0, name, "must be > 0")
         # the sampling capacitance and charge offsets may degenerate to zero
@@ -129,6 +136,7 @@ class MultiplierSpec:
         object.__setattr__(self, "weight_bits", bits)
         _require(len(bits) == self.n_bits, "weight_bits", f"must have length n_bits={self.n_bits}")
         _require(all(b in (0, 1) for b in bits), "weight_bits", "entries must be 0 or 1")
+        _require_finite(self, "i_star_fastest", "v_a0")
         _require(self.i_star_fastest > 0, "i_star_fastest", "must be > 0")
         _require(self.v_a0 >= 0, "v_a0", "must be >= 0")
 
@@ -186,6 +194,7 @@ class JitterFit:
     unit_scale: Optional[Tuple[float, float]] = DEFAULT_UNIT_SCALE
 
     def __post_init__(self):
+        _require_finite(self, "k1", "p1", "k2", "q2")
         _require(self.k1 > 0, "k1", "must be > 0")
         _require(self.k2 > 0, "k2", "must be > 0")
         _require(self.p1 > 0, "p1", "must be > 0")

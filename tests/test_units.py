@@ -1,10 +1,12 @@
 import math
+import sys
+from decimal import Decimal
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from delaymac.errors import QuantityError
-from delaymac.units import SUFFIX_SCALE, coerce_quantity, format_number, parse_quantity
+from delaymac.units import SUFFIX_EXPONENT, SUFFIX_SCALE, coerce_quantity, format_number, parse_quantity
 
 
 def test_femto_suffix():
@@ -58,11 +60,16 @@ def test_format_parse_round_trip(x):
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
     st.sampled_from(sorted(SUFFIX_SCALE)),
 )
+@example(3.2956212316547958e-295, "f")
 def test_suffix_equals_explicit_scale(mantissa, suffix):
     got = parse_quantity(f"{mantissa!r}{suffix}")
-    assert got == pytest.approx(mantissa * SUFFIX_SCALE[suffix], rel=1e-15, abs=0.0) or (
-        mantissa == 0 and got == 0
-    )
+    product = mantissa * SUFFIX_SCALE[suffix]
+    if abs(product) < sys.float_info.min:
+        # zero or subnormal: the float product rounds twice (scale, then
+        # product), so compare with the decimal scaling, rounded once
+        assert got == float(Decimal(repr(mantissa)).scaleb(SUFFIX_EXPONENT[suffix]))
+    else:
+        assert got == pytest.approx(product, rel=1e-15, abs=0.0)
 
 
 def test_suffix_matches_explicit_exponent_bit_for_bit():
