@@ -156,6 +156,8 @@ def _parse_span(text: str) -> Tuple[float, float]:
     if len(parts) != 2:
         raise DelaymacError(f"span must be lo:hi (got {text!r})")
     lo, hi = (coerce_quantity(p) for p in parts)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DelaymacError(f"span bounds must be finite (got {text!r})")
     if not 0 < lo < hi:
         raise DelaymacError(f"span must satisfy 0 < lo < hi (got {text!r})")
     return lo, hi
@@ -387,10 +389,12 @@ def build_parser() -> _Parser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    # calibrate has no --out: it writes calibration.json in the config dir
-    out = Path(args.out) if hasattr(args, "out") else config_dir() / "calibration"
-    stem = out.with_suffix("") if out.suffix else out
     try:
+        # calibrate has no --out: it writes calibration.json in the config dir
+        out = Path(args.out) if hasattr(args, "out") else config_dir() / "calibration"
+        if not out.name.strip("."):
+            raise DelaymacError(f"--out must name a file (got {args.out!r})")
+        stem = out.with_suffix("") if out.suffix else out
         run = Run(args.command, _resolve_config(args), stem, getattr(args, "seed", None))
         code = args.func(args, run)
         if run.outputs:

@@ -13,12 +13,16 @@ increasing i before its sign is applied, and event times and the chain total
 as cumulative sums over stages. simulate_multiply is its one-stage case,
 simulate_dot_product its trial 0 and a transfer_sweep row one stage of trial 0.
 
-Jitter stream: one Generator(PCG64(seed)) per evaluation, drawn trial-major,
-then stage-major, then per set bit in increasing i: the variable path, then
-the reference path for pair_factor=2. A trial's total is the deterministic
-total plus sign * sigma * z summed over its traversed cells. Trials are drawn
-in whole-trial blocks of at most JITTER_BLOCK_DRAWS normals and reduced one
-trial at a time, so the block size changes no value.
+Jitter stream: one Generator(PCG64(seed)) per evaluation. Trial 0 takes its
+first normals, one per traversed cell, stage-major, then per set bit in
+increasing i: the variable path, then the reference path for pair_factor=2.
+Its total is the deterministic total plus sign * sigma * z summed over those
+cells, and it alone feeds the per-stage view. Every later trial takes one
+normal z of the same stream and is the deterministic total plus
+sqrt(sum of w**2) * z, w being the signed per-cell sigma. This is exact, not
+an approximation: the cells' jitter is independent and Gaussian, so their
+weighted sum is N(0, sum of w**2). Later trials are drawn in chunks of at
+most JITTER_BLOCK_DRAWS normals, which changes no value.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ SeedLike = Union[int, np.random.SeedSequence]
 
 MODELS = ("ideal", "nonlinear")
 
-#: Standard normals drawn per jitter block (1 MiB).
+#: Later-trial normals drawn per chunk (1 MiB).
 JITTER_BLOCK_DRAWS = 2**17
 
 
@@ -177,13 +181,12 @@ def simulate_chain(
         path_sigma = np.stack([sigma[bit], -sigma[bit]], axis=1)[:, :pair_factor]
         cell_weights = (signs[stage, None] * path_sigma).ravel()
         rng = np.random.Generator(np.random.PCG64(seed))
-        per_block = max(1, JITTER_BLOCK_DRAWS // max(1, cell_weights.size))
-        for start in range(0, trials, per_block):
-            z = rng.standard_normal((min(per_block, trials - start), cell_weights.size))
-            if start == 0:
-                first = z[0].copy()  # trial 0, kept for the per-stage view
-            z *= cell_weights
-            jitter[start:start + len(z)] = z.sum(axis=1)
+        first = rng.standard_normal(cell_weights.size)  # trial 0, kept for the per-stage view
+        jitter[0] = (first * cell_weights).sum()
+        scale = np.sqrt((cell_weights * cell_weights).sum())
+        for start in range(1, trials, JITTER_BLOCK_DRAWS):
+            stop = min(start + JITTER_BLOCK_DRAWS, trials)
+            jitter[start:stop] = scale * rng.standard_normal(stop - start)
         j = np.zeros(bits.shape + (2,))
         j[stage, bit, :pair_factor] = sigma[bit, None] * first.reshape(-1, pair_factor)
         j_var, j_ref = j[..., 0], j[..., 1]

@@ -2,12 +2,14 @@
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 
 from delaymac import multiplier as mu
 from delaymac.cell import initial_drop, latch_delay
+from delaymac.jitter import total_jitter
 from delaymac.params import MultiplierSpec
 
 EV0 = mu.ReferentialEvent()
@@ -112,3 +114,49 @@ def test_cli_rejects_wide_weights(fails_cleanly, tmp_path, weights):
     err = fails_cleanly("simulate", f"--weights={weights}", "--va", values, "--out", tmp_path / "w.csv")
     assert "2**n_bits" in err
     assert not (tmp_path / "w.csv").exists()
+
+
+def traversed_sigmas(weights, spec, cell, fit, pair_factor):
+    """Signed sigma of every traversed cell, stage-major, then bit, then path."""
+    out = []
+    for w in weights:
+        sign = -1.0 if w < 0 else 1.0
+        for i in range(spec.n_bits):
+            if abs(w) >> i & 1:
+                sigma = total_jitter(cell.with_current(spec.bit_current(i)), fit).sigma_total
+                out.extend([sign * sigma, -sign * sigma][:pair_factor])
+    return out
+
+
+@pytest.mark.parametrize("pair_factor", [1, 2])
+def test_later_trials_are_one_normal_each(cell, tech, fit, spec31, pair_factor):
+    trials, seed = 200, 23
+    got = mu.dot_product_trials(
+        WEIGHTS, V_AS, spec31, cell, tech, fit=fit, seed=seed, trials=trials, pair_factor=pair_factor
+    )
+    w = traversed_sigmas(WEIGHTS, spec31, cell, fit, pair_factor)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    rng.standard_normal(len(w))  # trial 0's per-cell normals
+    quiet = mu.dot_product_trials(WEIGHTS, V_AS, spec31, cell, tech, trials=1)[0]
+    scale = math.sqrt(math.fsum(x * x for x in w))
+    want = quiet + scale * rng.standard_normal(trials - 1)
+    np.testing.assert_allclose(got[1:], want, rtol=0, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("pair_factor", [1, 2])
+def test_mixed_sign_chain_variance(cell, tech, fit, spec31, pair_factor):
+    deltas = mu.dot_product_trials(
+        WEIGHTS, V_AS, spec31, cell, tech, fit=fit, seed=31, trials=100_000, pair_factor=pair_factor
+    )
+    want = sum(
+        total_jitter(cell.with_current(spec31.bit_current(i)), fit, pair_factor=pair_factor).sigma_total ** 2
+        for w in WEIGHTS for i in range(spec31.n_bits) if abs(w) >> i & 1
+    )
+    assert np.var(deltas, ddof=1) == pytest.approx(want, rel=0.05, abs=0)
+
+
+@pytest.mark.parametrize("model", mu.MODELS)
+def test_no_fit_trials_are_all_the_quiet_total(cell, tech, spec31, model):
+    run = mu.simulate_chain(WEIGHTS, V_AS, spec31, cell, tech, model=model, seed=3, trials=40)
+    single = mu.simulate_chain(WEIGHTS, V_AS, spec31, cell, tech, model=model, trials=1)
+    assert run.deltas.tolist() == [single.deltas[0]] * 40

@@ -69,3 +69,35 @@ def test_failed_calibrate_keeps_the_earlier_calibration(run, tmp_path):
     after = files(tmp_path)
     del after["t.json"]
     assert after == before
+
+
+@pytest.mark.parametrize("out", [".", "", ".."])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("region", "--bits", 5, *GRID),
+        ("maxbits", "--epsilon-grid", "1:3:3", *GRID),
+        SIM,
+        ("energy",),
+        ("bias", "--bits", 5),
+    ],
+)
+def test_out_without_a_file_name_is_rejected(fails_cleanly, tmp_path, argv, out):
+    err = fails_cleanly(*argv, "--out", out)
+    assert "--out" in err
+    assert files(tmp_path) == {}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("region", "--bits", 5, *GRID, "--c-span", "1f:1e309", "--out", "r.csv"),
+        ("region", "--bits", 5, *GRID, "--i-span", "1n:1e309", "--out", "r.csv"),
+        ("maxbits", "--epsilon-grid", "1:3:3", *GRID, "--i-span", "1n:1e309", "--out", "m.csv"),
+        ("calibrate", *GRID, "--c-span", "1f:1e309"),
+    ],
+)
+def test_infinite_span_bound_is_one_line(fails_cleanly, tmp_path, argv):
+    assert "finite" in fails_cleanly(*argv)
+    assert files(tmp_path) == {}
