@@ -10,7 +10,7 @@ without a node solver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple, Union
 
 import numpy as np
@@ -25,7 +25,7 @@ LENGTH_UNIT_M = 120e-9
 #: Target drain voltage of the primary mirror FET, held by the secondary bias.
 DRAIN_PIN_V = 0.1
 
-#: Default subthreshold slope factor of the bias diode law.
+#: Subthreshold slope factor of the bias diode law.
 DEFAULT_SLOPE_FACTOR = 1.3
 
 #: Bias currents above this are outside the subthreshold design regime.
@@ -70,25 +70,19 @@ def secondary_bias_widths(i: int, w_max: float, mode: str = "shrinking") -> floa
     raise FieldValidationError("mode", f"must be 'shrinking' or 'table' (got {mode!r})")
 
 
-def bias_current(v_ref: float, tech: TechnologyProfile, slope_factor: float = DEFAULT_SLOPE_FACTOR) -> float:
+def bias_current(v_ref: float, tech: TechnologyProfile) -> float:
     """Subthreshold diode-law current i_0 * exp((v_ref - v_thn) / (m v_t))."""
-    return tech.i_0 * math.exp((v_ref - tech.v_thn) / (slope_factor * tech.v_t))
+    return tech.i_0 * math.exp((v_ref - tech.v_thn) / (DEFAULT_SLOPE_FACTOR * tech.v_t))
 
 
-def v_ref_for_current(i_bias: float, tech: TechnologyProfile, slope_factor: float = DEFAULT_SLOPE_FACTOR) -> float:
+def v_ref_for_current(i_bias: float, tech: TechnologyProfile) -> float:
     """Reference voltage that makes bias_current produce i_bias."""
     if i_bias <= 0:
         raise FieldValidationError("i_bias", "must be > 0")
-    return tech.v_thn + slope_factor * tech.v_t * math.log(i_bias / tech.i_0)
+    return tech.v_thn + DEFAULT_SLOPE_FACTOR * tech.v_t * math.log(i_bias / tech.i_0)
 
 
-def branch_currents(
-    v_ref: float,
-    n: int,
-    tech: TechnologyProfile,
-    slope_factor: float = DEFAULT_SLOPE_FACTOR,
-    ceiling: float = SUBTHRESHOLD_CEILING_A,
-) -> np.ndarray:
+def branch_currents(v_ref: float, n: int, tech: TechnologyProfile) -> np.ndarray:
     """Ideal mirrored currents [i_bias / 2**i for i in range(n)].
 
     Raises RegimeError when the diode law puts i_bias above the subthreshold
@@ -96,10 +90,10 @@ def branch_currents(
     """
     if n < 1:
         raise FieldValidationError("n", "must be >= 1")
-    i_bias = bias_current(v_ref, tech, slope_factor)
-    if i_bias > ceiling:
+    i_bias = bias_current(v_ref, tech)
+    if i_bias > SUBTHRESHOLD_CEILING_A:
         raise RegimeError(
-            f"i_bias={i_bias:.4g} A exceeds the subthreshold ceiling {ceiling:.4g} A; "
+            f"i_bias={i_bias:.4g} A exceeds the subthreshold ceiling {SUBTHRESHOLD_CEILING_A:.4g} A; "
             "lower v_ref"
         )
     return i_bias / 2.0 ** np.arange(n)
@@ -138,29 +132,22 @@ class BiasPlan:
         ]
 
 
-def bias_plan(
-    v_ref: float,
-    n: int,
-    tech: TechnologyProfile,
-    slope_factor: float = DEFAULT_SLOPE_FACTOR,
-    drain_pin: float = DRAIN_PIN_V,
-) -> BiasPlan:
+def bias_plan(v_ref: float, n: int, tech: TechnologyProfile) -> BiasPlan:
     """Full network solution for a reference voltage.
 
     The primary bias of branch i is the gate voltage sinking currents[i]
     under the diode law, so v_b1[0] equals v_ref exactly; the secondary bias
-    sits drain_pin above it to hold the mirror drain at the pin target.
+    sits DRAIN_PIN_V above it to hold the mirror drain at the pin target.
     """
-    currents = branch_currents(v_ref, n, tech, slope_factor)
-    v_b1 = tuple(v_ref_for_current(float(i_i), tech, slope_factor) for i_i in currents)
-    v_b2 = tuple(b1 + drain_pin for b1 in v_b1)
+    currents = branch_currents(v_ref, n, tech)
+    v_b1 = tuple(v_ref_for_current(float(i_i), tech) for i_i in currents)
+    v_b2 = tuple(b1 + DRAIN_PIN_V for b1 in v_b1)
     return BiasPlan(
         n_bits=n,
         widths=width_table(n),
         currents=tuple(float(i_i) for i_i in currents),
         v_b1=v_b1,
         v_b2=v_b2,
-        drain_pin=drain_pin,
     )
 
 

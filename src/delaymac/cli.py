@@ -13,7 +13,8 @@ A run that wrote outputs (exit 0, or region's exit 2) also writes
 <stem>.manifest.json: the command, resolved-config digest, seed, outputs in
 write order and tool version. An exit 1 or a failed calibrate writes no
 manifest. Exit codes: 0 success, 1 usage/config error, 2 domain
-infeasibility (empty region, failed calibration).
+infeasibility (empty region, failed calibration). Every input error, usage
+errors included, prints one "error:" line, exits 1 and writes no file.
 """
 
 from __future__ import annotations
@@ -34,8 +35,10 @@ from . import __version__
 from .bias import bias_plan, v_ref_for_current
 from .config import ResolvedConfig, default_config, load_config
 from .design_space import (
+    DEFAULT_C_SPAN,
     DEFAULT_CALIBRATION_TARGETS,
     DEFAULT_GRID_POINTS,
+    DEFAULT_I_SPAN,
     DesignRegion,
     calibrate_units,
     constraint_region,
@@ -59,11 +62,11 @@ CALIBRATION_FILENAME = "calibration.json"
 
 class _Parser(argparse.ArgumentParser):
     """argparse maps usage errors to exit 2 by default; this CLI reserves 2
-    for domain infeasibility, so remap them to 1."""
+    for domain infeasibility, so remap them to 1, reported like every other
+    input error in one line."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
+        sys.stderr.write(f"error: {message}\n")
         raise SystemExit(EXIT_ERROR)
 
 
@@ -101,8 +104,8 @@ def _overlay_calibration(fit: JitterFit) -> JitterFit:
     try:
         data = json.loads(path.read_text())
         scale = data.get("unit_scale") if isinstance(data, dict) else None
-        if not isinstance(scale, (list, tuple)) or len(scale) != 2:
-            return fit
+        if not isinstance(scale, list):
+            raise ValueError(f"unit_scale must be an [s1, s2] list (got {scale!r})")
         return fit.with_unit_scale(scale)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed calibration file {path}: {exc}") from exc
@@ -164,14 +167,9 @@ def _parse_span(text: str) -> Tuple[float, float]:
 
 
 def _grids(args):
-    c_grid, i_grid = default_grids(points=args.grid_points)
-    if args.c_span:
-        lo, hi = _parse_span(args.c_span)
-        c_grid = np.geomspace(lo, hi, args.grid_points)
-    if args.i_span:
-        lo, hi = _parse_span(args.i_span)
-        i_grid = np.geomspace(lo, hi, args.grid_points)
-    return c_grid, i_grid
+    c_span = _parse_span(args.c_span) if args.c_span else DEFAULT_C_SPAN
+    i_span = _parse_span(args.i_span) if args.i_span else DEFAULT_I_SPAN
+    return default_grids(args.grid_points, c_span, i_span)
 
 
 def _add_grid_flags(parser) -> None:
@@ -236,9 +234,6 @@ def cmd_simulate(args, run: Run) -> int:
     v_as = _parse_float_list(args.va, "--va")
     if len(weights) != len(v_as):
         raise DelaymacError(f"got {len(weights)} weights but {len(v_as)} --va entries")
-    limit = 2**cfg.mult.n_bits
-    if any(abs(w) >= limit for w in weights):
-        raise DelaymacError(f"--weights entries must satisfy |w| < 2**n_bits = {limit}")
     if args.trials < 1:
         raise DelaymacError("--trials must be >= 1")
     if args.seed < 0:

@@ -6,7 +6,7 @@ Three constraints bound a workable design:
 1. c_star above the initialization-validity floor (vertical line).
 2. detector-linearity margin of the slowest cell (current 2**-n times the
    fastest) above 1.
-3. three-sigma jitter of the slowest cell at most jitter_margin_fraction of
+3. three-sigma jitter of the slowest cell at most JITTER_MARGIN_FRACTION of
    the fastest cell's maximum referential delay, optionally tightened by an
    excess margin epsilon: 3 * sqrt(s1 * a_n + s2 * b_n) <= rhs0 / epsilon,
    with scale-free terms a_n, b_n and the unit scale (s1, s2).
@@ -58,6 +58,8 @@ def default_grids(
     i_span: Tuple[float, float] = DEFAULT_I_SPAN,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Logarithmic (c_star, i_star_fastest) grids covering the design span."""
+    if points < MIN_GRID_POINTS:
+        raise FieldValidationError("grid_points", f"needs at least {MIN_GRID_POINTS} (got {points})")
     return (
         np.geomspace(c_span[0], c_span[1], points),
         np.geomspace(i_span[0], i_span[1], points),
@@ -154,7 +156,6 @@ class _ConstraintTables:
         cell: CellDesign,
         tech: TechnologyProfile,
         fit: JitterFit,
-        jitter_margin_fraction: float = JITTER_MARGIN_FRACTION,
     ):
         self.c_grid = _validate_grid(c_grid, "grid_cstar")
         self.i_grid = _validate_grid(i_grid, "grid_istar")
@@ -169,7 +170,7 @@ class _ConstraintTables:
             * (cell.c_re / (tech.i_0 * np.exp(dv0_vdd / tech.v_t)))
             * (tech.v_thn / tech.v_t)
         )
-        self.rhs0 = jitter_margin_fraction * cell.c_s_eff / self.i_grid
+        self.rhs0 = JITTER_MARGIN_FRACTION * cell.c_s_eff / self.i_grid
         self._front: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def c2(self, n: int) -> np.ndarray:
@@ -240,14 +241,13 @@ def constraint_region(
     tech: TechnologyProfile,
     fit: JitterFit,
     epsilon: float = 1.0,
-    jitter_margin_fraction: float = JITTER_MARGIN_FRACTION,
 ) -> DesignRegion:
     """Evaluate all three constraints for an n-bit multiplier over the grid."""
     if n < 1:
         raise FieldValidationError("n", "bit count must be >= 1")
     _validate_epsilon(epsilon)
     scale = require_calibrated(fit)
-    tables = _ConstraintTables(c_grid, i_grid, cell, tech, fit, jitter_margin_fraction)
+    tables = _ConstraintTables(c_grid, i_grid, cell, tech, fit)
     return tables.region(n, epsilon, scale)
 
 
@@ -268,13 +268,12 @@ def max_bits_curve(
     cell: CellDesign,
     tech: TechnologyProfile,
     fit: JitterFit,
-    jitter_margin_fraction: float = JITTER_MARGIN_FRACTION,
 ) -> List[int]:
     """max_bits at each excess margin, read off one eps_crit profile."""
     for epsilon in epsilons:
         _validate_epsilon(epsilon)
     scale = require_calibrated(fit)
-    crit = _ConstraintTables(c_grid, i_grid, cell, tech, fit, jitter_margin_fraction).profile(scale)
+    crit = _ConstraintTables(c_grid, i_grid, cell, tech, fit).profile(scale)
     return [int(np.count_nonzero(crit >= epsilon)) for epsilon in epsilons]
 
 
@@ -285,14 +284,13 @@ def max_bits(
     cell: CellDesign,
     tech: TechnologyProfile,
     fit: JitterFit,
-    jitter_margin_fraction: float = JITTER_MARGIN_FRACTION,
 ) -> int:
     """Largest bit count with a non-empty feasible region at excess margin epsilon.
 
     Feasible sets nest as n grows, so this is the number of bit counts with
     eps_crit(n) >= epsilon; returns 0 when even n=1 is infeasible.
     """
-    return max_bits_curve((epsilon,), c_grid, i_grid, cell, tech, fit, jitter_margin_fraction)[0]
+    return max_bits_curve((epsilon,), c_grid, i_grid, cell, tech, fit)[0]
 
 
 # --- unit calibration ---------------------------------------------------
@@ -462,7 +460,6 @@ def calibrate_units(
     cell_template: CellDesign,
     c_grid: Optional[np.ndarray] = None,
     i_grid: Optional[np.ndarray] = None,
-    jitter_margin_fraction: float = JITTER_MARGIN_FRACTION,
 ) -> CalibrationResult:
     """Resolve the unit scale pair (s1, s2) of the fitted jitter constants.
 
@@ -485,7 +482,7 @@ def calibrate_units(
         return CalibrationResult(unit_scale=(1.0, 1.0), residual=0.0, targets_met=(), convention="identity")
 
     raw_fit = fit.with_unit_scale((1.0, 1.0))
-    tables = _ConstraintTables(c_grid, i_grid, cell_template, tech, raw_fit, jitter_margin_fraction)
+    tables = _ConstraintTables(c_grid, i_grid, cell_template, tech, raw_fit)
 
     candidates: List[Tuple[float, Tuple[float, float], Tuple[bool, ...], str]] = []
 
@@ -512,7 +509,7 @@ def calibrate_units(
         i_ref = float(opt_target["i_star"]) if opt_target else cell_template.i_star
         n_ref = int(opt_target["n"]) if opt_target else (int(mb_target["bits"]) if mb_target else 5)
         a_ref, b_ref = tables.jitter_terms(n_ref, c_ref, i_ref)
-        budget = (jitter_margin_fraction * cell_template.c_s_eff / i_ref) ** 2 / 9.0
+        budget = (JITTER_MARGIN_FRACTION * cell_template.c_s_eff / i_ref) ** 2 / 9.0
 
         def pair_of(x: float):
             def scale_of(m: float) -> Tuple[float, float]:

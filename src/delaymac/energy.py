@@ -2,19 +2,17 @@
 
 Component model: storage-cap recharge, the two detector-node charges, event
 pull-up and edge inversion. Pull-up and inversion have no closed form here
-and default to the characterized per-bit constants of the 5-bit reference
-design.
+and use the characterized per-bit constants of the 5-bit reference design.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import FieldValidationError
 from .params import CellDesign, MultiplierSpec, TechnologyProfile
 
-#: Default per-bit energy of the event pull-up and input-edge inverter [J].
+#: Per-bit energy of the event pull-up and input-edge inverter [J].
 DEFAULT_E_PU_PER_BIT = 9.0e-15
 DEFAULT_E_INV_PER_BIT = 3.0e-15
 
@@ -108,10 +106,6 @@ def mac_energy(
     tech: TechnologyProfile,
     mode: str = "sense",
     rho: float = 0.0,
-    e_pu_per_bit: float = DEFAULT_E_PU_PER_BIT,
-    e_inv_per_bit: float = DEFAULT_E_INV_PER_BIT,
-    c_detector_node: Optional[float] = None,
-    c_latch_node: float = DEFAULT_LATCH_NODE_F,
 ) -> EnergyBreakdown:
     """Energy of one MAC cycle.
 
@@ -132,13 +126,12 @@ def mac_energy(
     else:
         popcount = sum(spec.weight_bits)
         charged_pairs = popcount + rho * (n - popcount)
-    c_det = cell.c_re if c_detector_node is None else c_detector_node
     return EnergyBreakdown(
         e_cstar=2.0 * charged_pairs * cap_energy(cell.c_star, tech),
-        e_td1=2.0 * n * cap_energy(c_det, tech),
-        e_td2=2.0 * n * cap_energy(c_latch_node, tech),
-        e_pu=n * e_pu_per_bit,
-        e_inv=n * e_inv_per_bit,
+        e_td1=2.0 * n * cap_energy(cell.c_re, tech),
+        e_td2=2.0 * n * cap_energy(DEFAULT_LATCH_NODE_F, tech),
+        e_pu=n * DEFAULT_E_PU_PER_BIT,
+        e_inv=n * DEFAULT_E_INV_PER_BIT,
         n_bits=n,
         mode=mode,
     )

@@ -21,6 +21,10 @@ class FieldValidationError(ConfigError):
         super().__init__(f"{field}: {message}")
 
 
+class WeightOverflowError(DelaymacError, OverflowError):
+    """A signed weight does not fit in the multiplier: |w| >= 2**n_bits."""
+
+
 class RegimeError(DelaymacError, ValueError):
     """Inputs fall outside the validity region of a model."""
 

@@ -13,10 +13,11 @@ increasing i before its sign is applied, and event times and the chain total
 as cumulative sums over stages. simulate_multiply is its one-stage case,
 simulate_dot_product its trial 0 and a transfer_sweep row one stage of trial 0.
 
-Jitter stream: one Generator(PCG64(seed)) per evaluation. Trial 0 takes its
-first normals, one per traversed cell, stage-major, then per set bit in
-increasing i: the variable path, then the reference path for pair_factor=2.
-Its total is the deterministic total plus sign * sigma * z summed over those
+Jitter needs a fit and a seed; without either, every trial is the
+deterministic total. The stream is one Generator(PCG64(seed)) per
+evaluation. Trial 0 takes its first normals, one per traversed cell,
+stage-major, then per set bit in increasing i: the variable path, then the
+reference path for pair_factor=2. Its total is the deterministic total plus sign * sigma * z summed over those
 cells, and it alone feeds the per-stage view. Every later trial takes one
 normal z of the same stream and is the deterministic total plus
 sqrt(sum of w**2) * z, w being the signed per-cell sigma. This is exact, not
@@ -35,7 +36,7 @@ import numpy as np
 from .cell import initial_drop, latch_delay, latch_point
 from .errors import RegimeError
 from .jitter import total_jitter
-from .params import INPUT_FLOOR_V, CellDesign, JitterFit, MultiplierSpec, TechnologyProfile
+from .params import INPUT_FLOOR_V, CellDesign, JitterFit, MultiplierSpec, TechnologyProfile, require_weight_fits
 
 SeedLike = Union[int, np.random.SeedSequence]
 
@@ -118,13 +119,11 @@ def simulate_chain(
     pair_factor: int = 1,
     ev_in: ReferentialEvent = ReferentialEvent(),
     distortion_alpha: float = 0.0,
-    dv_th_override: Optional[float] = None,
 ) -> ChainResult:
     """Serial MAC chain: each multiplier consumes the previous event pair.
 
-    weights are signed integers with |w| < 2**n_bits (OverflowError
-    otherwise) and v_as the per-stage analog inputs in [0, v_dd]. Without a
-    fit every trial is the deterministic total.
+    weights are signed integers with |w| < 2**n_bits (WeightOverflowError
+    otherwise) and v_as the per-stage analog inputs in [0, v_dd].
     """
     if model not in MODELS:
         raise ValueError(f"model must be one of {MODELS} (got {model!r})")
@@ -134,9 +133,8 @@ def simulate_chain(
         raise ValueError("trials must be >= 1")
     if len(weights) != len(v_as):
         raise ValueError(f"got {len(weights)} weights but {len(v_as)} analog inputs")
+    require_weight_fits(max((abs(int(x)) for x in weights), default=0), template.n_bits)
     w, v_as, v_a0 = np.asarray(weights, dtype=np.int64), np.asarray(v_as, dtype=float), template.v_a0
-    if np.any(np.abs(w) >= 2**template.n_bits):
-        raise OverflowError(f"|weight|={np.abs(w).max()} does not fit in {template.n_bits} bits")
     warnings = []
     for name, v in (("v_a", v_as), ("v_a0", np.full(len(v_as), v_a0))):
         outside = v[~((v >= 0.0) & (v <= tech.v_dd))]
@@ -146,6 +144,7 @@ def simulate_chain(
             warnings.append(
                 f"{low} of {len(v)} stages have {name} below the {INPUT_FLOOR_V} V input floor")
 
+    noisy = fit is not None and seed is not None
     signs = np.where(w < 0, -1, 1)
     bits = (np.abs(w)[:, None] >> np.arange(template.n_bits)) & 1 == 1
     i_star = template.i_star_fastest / 2.0 ** np.arange(template.n_bits)
@@ -156,10 +155,9 @@ def simulate_chain(
     for i in np.flatnonzero(bits.any(axis=0)):  # per-bit constants of the columns in use
         cell_i = replace(cell, i_star=float(i_star[i]), v_a0=v_a0)
         dv0_ref = initial_drop(v_a0, cell_i, tech).dv0
-        sigma[i] = total_jitter(cell_i, fit).sigma_total if fit is not None else 0.0
+        sigma[i] = total_jitter(cell_i, fit).sigma_total if noisy else 0.0
         if model == "ideal":
-            dv_th = latch_point(cell_i, tech) if dv_th_override is None else dv_th_override
-            t_base[i] = (cell_i.c_star / cell_i.i_star) * (dv_th - dv0_ref)
+            t_base[i] = (cell_i.c_star / cell_i.i_star) * (latch_point(cell_i, tech) - dv0_ref)
         else:
             t_base[i] = latch_delay(dv0_ref, cell_i, tech).t_d
     if model == "ideal":
@@ -176,7 +174,7 @@ def simulate_chain(
         rd = ((tech.v_t / ramp) * np.log1p(margin) - t_base) + distortion
 
     jitter, j_var, j_ref = np.zeros(trials), 0.0, 0.0
-    if fit is not None:
+    if noisy:
         stage, bit = np.nonzero(bits)  # the traversed cells, stage-major
         path_sigma = np.stack([sigma[bit], -sigma[bit]], axis=1)[:, :pair_factor]
         cell_weights = (signs[stage, None] * path_sigma).ravel()
@@ -210,19 +208,16 @@ def simulate_multiply(
     seed: Optional[SeedLike] = None,
     pair_factor: int = 1,
     distortion_alpha: float = 0.0,
-    dv_th_override: Optional[float] = None,
 ) -> MultiplyResult:
     """Propagate an event pair through one multiplier (a one-stage chain).
 
     With the ideal model delta_t is exactly
-    sign * -(c_s_eff / i_star_fastest) * (v_a - v_a0) * W. Jitter needs a fit
-    and a seed; it attaches to cells, not wires, so sign antisymmetry is
-    exact at a fixed seed.
+    sign * -(c_s_eff / i_star_fastest) * (v_a - v_a0) * W. Jitter attaches to
+    cells, not wires, so sign antisymmetry is exact at a fixed seed.
     """
     run = simulate_chain(
-        [spec.sign * spec.weight_value], [v_a], spec, cell, tech, model=model,
-        fit=fit if seed is not None else None, seed=seed, pair_factor=pair_factor, ev_in=ev_in,
-        distortion_alpha=distortion_alpha, dv_th_override=dv_th_override,
+        [spec.sign * spec.weight_value], [v_a], spec, cell, tech, model=model, fit=fit, seed=seed,
+        pair_factor=pair_factor, ev_in=ev_in, distortion_alpha=distortion_alpha,
     )
     return MultiplyResult(
         out=ReferentialEvent(*run.events[1].tolist()),
@@ -246,12 +241,11 @@ def simulate_dot_product(
 ) -> Tuple[float, List[StageTrace]]:
     """Trial 0 of a MAC chain: its total referential delay and per-stage trace.
 
-    Jitter needs a fit and a seed; the total equals dot_product_trials(...)[0].
+    The total equals dot_product_trials(...)[0].
     """
     run = simulate_chain(
         weights, v_as, template, cell, tech,
-        model=model, fit=fit if seed is not None else None, seed=seed,
-        pair_factor=pair_factor, ev_in=ev_in,
+        model=model, fit=fit, seed=seed, pair_factor=pair_factor, ev_in=ev_in,
     )
     return float(run.deltas[0]), run.trace(weights, v_as)
 
@@ -281,7 +275,6 @@ def differential_multiply(
     distortion_alpha: float,
     cell: CellDesign,
     tech: TechnologyProfile,
-    model: str = "ideal",
 ) -> float:
     """Differential-mode product: half the delay difference of the two paths.
 
@@ -290,12 +283,8 @@ def differential_multiply(
     and the output is odd in v_a.
     """
     ev = ReferentialEvent()
-    plus = simulate_multiply(
-        ev, spec, spec.v_a0 + v_a, cell, tech, model=model, distortion_alpha=distortion_alpha
-    ).delta_t
-    minus = simulate_multiply(
-        ev, spec, spec.v_a0 - v_a, cell, tech, model=model, distortion_alpha=distortion_alpha
-    ).delta_t
+    plus = simulate_multiply(ev, spec, spec.v_a0 + v_a, cell, tech, distortion_alpha=distortion_alpha).delta_t
+    minus = simulate_multiply(ev, spec, spec.v_a0 - v_a, cell, tech, distortion_alpha=distortion_alpha).delta_t
     return 0.5 * (plus - minus)
 
 
@@ -308,7 +297,6 @@ def transfer_sweep(
     model: str = "ideal",
     fit: Optional[JitterFit] = None,
     seed: Optional[int] = None,
-    pair_factor: int = 1,
     positive_means_greater_va: bool = False,
 ) -> List[dict]:
     """Transfer-characteristic table over a weight set and an input grid.
@@ -321,10 +309,7 @@ def transfer_sweep(
     """
     w_runs = np.repeat(np.asarray(weights, dtype=np.int64), len(v_a_values)).tolist()
     v_runs = np.tile(np.asarray(v_a_values, dtype=float), len(weights)).tolist()
-    deltas = simulate_chain(
-        w_runs, v_runs, template, cell, tech,
-        model=model, fit=fit if seed is not None else None, seed=seed, pair_factor=pair_factor,
-    ).stage_deltas
+    deltas = simulate_chain(w_runs, v_runs, template, cell, tech, model=model, fit=fit, seed=seed).stage_deltas
     flip = -1.0 if positive_means_greater_va else 1.0
     return [
         {

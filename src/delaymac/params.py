@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
-from .errors import FieldValidationError
+from .errors import FieldValidationError, WeightOverflowError
 
 BOLTZMANN_J_PER_K = 1.380649e-23
 ELEMENTARY_CHARGE_C = 1.602176634e-19
@@ -160,12 +160,19 @@ class MultiplierSpec:
         v_a0: float = 0.75,
     ) -> "MultiplierSpec":
         """Build a spec from a signed integer weight, |weight| < 2**n_bits."""
-        if abs(weight) >= 2**n_bits:
-            raise OverflowError(f"|weight|={abs(weight)} does not fit in {n_bits} bits")
-        sign = -1 if weight < 0 else 1
         mag = abs(weight)
+        require_weight_fits(mag, n_bits)
+        sign = -1 if weight < 0 else 1
         bits = tuple((mag >> i) & 1 for i in range(n_bits))
         return cls(n_bits=n_bits, sign=sign, weight_bits=bits, i_star_fastest=i_star_fastest, v_a0=v_a0)
+
+
+def require_weight_fits(magnitude: int, n_bits: int) -> None:
+    """Raise WeightOverflowError unless magnitude < 2**n_bits."""
+    if magnitude >= 2**n_bits:
+        raise WeightOverflowError(
+            f"|weight|={magnitude} does not fit in {n_bits} bits (|w| < 2**n_bits = {2**n_bits})"
+        )
 
 
 #: Calibrated scale pair applied to (k1, k2) so both fitted jitter models

@@ -182,9 +182,10 @@ class TestVreTransient:
             1e-15,
             hi,
             rtol=1e-13,
+            xtol=1e-24,
         )
-        assert t_root == pytest.approx(LATCH_DELAY_VDD, rel=1e-9)
-        assert t_root == pytest.approx(ca.latch_delay(DV0_AT_VDD, cell, tech).t_d, rel=1e-9)
+        assert t_root == pytest.approx(LATCH_DELAY_VDD, rel=1e-9, abs=0)
+        assert t_root == pytest.approx(ca.latch_delay(DV0_AT_VDD, cell, tech).t_d, rel=1e-9, abs=0)
 
     def test_regime_error_above_vthp(self, cell, tech):
         with pytest.raises(RegimeError):

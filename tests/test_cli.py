@@ -259,7 +259,18 @@ class TestBoundaryErrors:
         assert "target" in fails_cleanly("calibrate", "--targets", targets)
         assert not (tmp_path / "confdir" / "calibration.json").exists()
 
-    @pytest.mark.parametrize("text", ["{bad", '{"unit_scale": ["a", 1]}'])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{bad",
+            '{"unit_scale": ["a", 1]}',
+            "{}",
+            "[1, 2]",
+            '{"unit_scale": null}',
+            '{"unit_scale": [1]}',
+            '{"unit_scale": [1, 2, 3]}',
+        ],
+    )
     def test_malformed_calibration_overlay(self, fails_cleanly, tmp_path, text):
         confdir = tmp_path / "confdir"
         confdir.mkdir()

@@ -160,3 +160,13 @@ def test_no_fit_trials_are_all_the_quiet_total(cell, tech, spec31, model):
     run = mu.simulate_chain(WEIGHTS, V_AS, spec31, cell, tech, model=model, seed=3, trials=40)
     single = mu.simulate_chain(WEIGHTS, V_AS, spec31, cell, tech, model=model, trials=1)
     assert run.deltas.tolist() == [single.deltas[0]] * 40
+
+
+@pytest.mark.parametrize("model", mu.MODELS)
+def test_fit_without_seed_draws_no_jitter(cell, tech, fit, spec31, model):
+    quiet = mu.simulate_chain(WEIGHTS, V_AS, spec31, cell, tech, model=model)
+    kw = dict(model=model, fit=fit, seed=None, trials=40)
+    run = mu.simulate_chain(WEIGHTS, V_AS, spec31, cell, tech, **kw)
+    trials = mu.dot_product_trials(WEIGHTS, V_AS, spec31, cell, tech, **kw)
+    assert run.deltas.tolist() == trials.tolist() == [quiet.deltas[0]] * 40
+    assert run.stage_deltas.tolist() == quiet.stage_deltas.tolist()

@@ -114,8 +114,8 @@ class TestFitted:
 class TestBudget:
     def test_total_combines_both_sources(self, cell, fit):
         budget = jt.total_jitter(cell, fit)
-        assert budget.var_sd == pytest.approx(jt.sd_jitter_fitted(cell, fit), rel=1e-12)
-        assert budget.var_td == pytest.approx(jt.td_jitter_fitted(cell, fit), rel=1e-12)
+        assert budget.var_sd == pytest.approx(jt.sd_jitter_fitted(cell, fit), rel=1e-12, abs=0)
+        assert budget.var_td == pytest.approx(jt.td_jitter_fitted(cell, fit), rel=1e-12, abs=0)
         assert budget.sigma_total == pytest.approx(
             np.sqrt(budget.var_sd + budget.var_td), rel=1e-12
         )
@@ -132,8 +132,8 @@ class TestBudget:
     def test_pair_factor_doubles(self, cell, fit):
         single = jt.total_jitter(cell, fit, pair_factor=1)
         double = jt.total_jitter(cell, fit, pair_factor=2)
-        assert double.var_sd == pytest.approx(2 * single.var_sd, rel=1e-12)
-        assert double.var_td == pytest.approx(2 * single.var_td, rel=1e-12)
+        assert double.var_sd == pytest.approx(2 * single.var_sd, rel=1e-12, abs=0)
+        assert double.var_td == pytest.approx(2 * single.var_td, rel=1e-12, abs=0)
 
     def test_design_point_meets_jitter_budget(self, cell, fit, spec31):
         # slowest cell of the 5-bit design against the fastest cell's margin

@@ -113,7 +113,7 @@ class TestJitterAccumulation:
             + total_jitter(cell.with_current(spec.bit_current(i)), fit).var_td
             for i in range(5)
         )
-        assert np.var(deltas, ddof=1) == pytest.approx(expected_var, rel=0.05)
+        assert np.var(deltas, ddof=1) == pytest.approx(expected_var, rel=0.05, abs=0)
         assert np.mean(deltas) == pytest.approx(ideal_delta(31, 1.0), rel=0.05)
 
     def test_pair_factor_doubles_variance(self, cell, tech, fit):
@@ -125,7 +125,7 @@ class TestJitterAccumulation:
         double = mu.dot_product_trials(
             [1], [1.0], spec, cell, tech, fit=fit, seed=1, trials=trials, pair_factor=2
         )
-        assert np.var(double, ddof=1) == pytest.approx(2 * np.var(single, ddof=1), rel=0.1)
+        assert np.var(double, ddof=1) == pytest.approx(2 * np.var(single, ddof=1), rel=0.1, abs=0)
 
     def test_single_set_bit_variance(self, cell, tech, fit):
         spec = MultiplierSpec.from_weight(0b10000, 5)
@@ -135,7 +135,7 @@ class TestJitterAccumulation:
         )
         slow = cell.with_current(spec.bit_current(4))
         model = total_jitter(slow, fit)
-        assert np.var(deltas, ddof=1) == pytest.approx(model.var_sd + model.var_td, rel=0.05)
+        assert np.var(deltas, ddof=1) == pytest.approx(model.var_sd + model.var_td, rel=0.05, abs=0)
 
     def test_no_fit_means_deterministic_trials(self, cell, tech, spec31):
         deltas = mu.dot_product_trials([7], [1.0], spec31, cell, tech, trials=100)

@@ -101,3 +101,22 @@ def test_out_without_a_file_name_is_rejected(fails_cleanly, tmp_path, argv, out)
 def test_infinite_span_bound_is_one_line(fails_cleanly, tmp_path, argv):
     assert "finite" in fails_cleanly(*argv)
     assert files(tmp_path) == {}
+
+
+@pytest.mark.parametrize(
+    "argv, word",
+    [
+        (("energy", "--weight", 40, "--out", "e"), "2**n_bits"),
+        (("energy", "--bits", 3, "--weight", -40, "--out", "e"), "2**n_bits"),
+        (("region", "--bits", 5, "--grid-points", -1, "--out", "r.csv"), "grid_points"),
+        (("maxbits", "--epsilon-grid", "1:3:3", "--grid-points", -1, "--out", "m.csv"), "grid_points"),
+        (("calibrate", "--grid-points", -1), "grid_points"),
+        # argparse usage errors
+        (("region", "--bits", "x", "--out", "r.csv"), "--bits"),
+        (("region", "--bits", 5, "--no-such-flag", "--out", "r.csv"), "--no-such-flag"),
+        (("region", "--bits", 5), "--out"),
+    ],
+)
+def test_rejected_input_is_one_line(fails_cleanly, tmp_path, argv, word):
+    assert word in fails_cleanly(*argv)
+    assert files(tmp_path) == {}
