@@ -114,9 +114,10 @@ def _overlay_calibration(fit: JitterFit) -> JitterFit:
 def _resolve_config(args) -> ResolvedConfig:
     cfg = load_config(args.config) if args.config else default_config()
     # a persisted calibration overrides the packaged default scale, but never
-    # an explicitly configured one
+    # an explicitly configured one; calibrate searches from the raw fit and
+    # rewrites that file, so it never reads it
     unit_scale_defaulted = any(line.startswith("unit_scale ") for line in cfg.provenance)
-    if unit_scale_defaulted:
+    if unit_scale_defaulted and args.command != "calibrate":
         cfg = replace(cfg, fit=_overlay_calibration(cfg.fit))
     return cfg
 

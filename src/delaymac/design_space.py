@@ -12,14 +12,19 @@ Three constraints bound a workable design:
    with scale-free terms a_n, b_n and the unit scale (s1, s2).
 
 Constraints 1 and 2 depend on neither epsilon nor the unit scale, and 3 has
-a closed form in epsilon at each grid point. So one vector, the critical
-excess margin eps_crit(n) = max over c1 & c2 points at n of
-rhs0 / (3 * sqrt(s1 * a_n + s2 * b_n)) for n = 1..MAX_BITS_CAP (0 where n has
-no c1 & c2 point), answers every question at one unit scale: n is feasible
-at epsilon iff eps_crit(n) >= epsilon, max_bits(epsilon) counts the entries
->= epsilon and drops to b at eps_crit(b + 1). Scaling (s1, s2) by m scales
-eps_crit by m**-0.5, so calibration reads the magnitude window of each
-candidate ray off the profile at m = 1.
+a closed form in epsilon at each grid point: the critical excess margin
+rhs0 / (3 * sqrt(s1 * a_n + s2 * b_n)). In each current column that margin
+is largest at the front, the smallest c1 & c2 capacitance, so one
+(MAX_BITS_CAP, columns) table of front margins per unit scale answers every
+question at that scale. Its row max eps_crit(n) (0 where n has no c1 & c2
+point) says n is feasible at epsilon iff eps_crit(n) >= epsilon;
+max_bits(epsilon) counts the entries >= epsilon and drops to b at
+eps_crit(b + 1). The optimum is the last column whose front reaches
+epsilon, at its front, exactly the point optimal_point picks from the full
+region, so every calibration target reads the one table and no candidate
+scale builds a region. Scaling (s1, s2) by m scales eps_crit by m**-0.5, so
+calibration reads the magnitude window of each candidate ray off the
+profile at m = 1.
 
 Grid evaluation is vectorized and deterministic.
 """
@@ -137,16 +142,20 @@ class DesignRegion:
 
 
 class _ConstraintTables:
-    """The constraints over one grid, and the eps_crit profile at any unit scale.
+    """The constraints over one grid, and the per-column critical margins at
+    any unit scale.
 
     The jitter terms a_n = k1 * C / i_slow**p1 and b_n = k2 * (C / i_slow)**q2
     (i_slow = i_star_fastest * 2**-n) do not depend on the unit scale, so
     candidate scales during calibration only recombine stored terms. Both
-    grow with C at a fixed current, so in each current column the smallest
-    c1 & c2 capacitance has the largest critical margin: the profile keeps
-    only that point per column and bit count, a (MAX_BITS_CAP, columns)
-    table, never a full grid per n. Both terms also grow with n and the
-    c1 & c2 sets nest, so eps_crit is non-increasing in n.
+    are non-decreasing in C at a fixed current, so in each current column the
+    front, the smallest c1 & c2 capacitance, has the largest critical margin:
+    the column table keeps only the front per column and bit count, never a
+    full grid per n, and every calibration target reads it. A column has a
+    feasible point iff its front is feasible, and the front is then its
+    smallest feasible C, so optimum() is exactly optimal_point of the full
+    region. Both terms also grow with n and the c1 & c2 sets nest, so
+    eps_crit is non-increasing in n.
     """
 
     def __init__(
@@ -171,7 +180,10 @@ class _ConstraintTables:
             * (tech.v_thn / tech.v_t)
         )
         self.rhs0 = JITTER_MARGIN_FRACTION * cell.c_s_eff / self.i_grid
-        self._front: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        # the front's terms (a, b) and c_grid rows, and the last unit scale
+        # asked with its column margins and their row max
+        self._front: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        self._margins: Tuple[Optional[tuple], np.ndarray, np.ndarray] = (None, np.empty(0), np.empty(0))
 
     def c2(self, n: int) -> np.ndarray:
         """Detector-linearity mask of constraint 2 at n bits."""
@@ -185,8 +197,8 @@ class _ConstraintTables:
     def critical_epsilon(self, a: np.ndarray, b: np.ndarray, unit_scale: Tuple[float, float]) -> np.ndarray:
         """Largest epsilon meeting the jitter bound at each point with terms (a, b).
 
-        The region masks and the profile both compare against these values,
-        so they agree to the last bit.
+        The region masks and the column table both compare against these
+        values, so they agree to the last bit.
         """
         s1, s2 = unit_scale
         return self.rhs0 / (3.0 * np.sqrt(s1 * a + s2 * b))
@@ -205,21 +217,46 @@ class _ConstraintTables:
             epsilon=epsilon,
         )
 
-    def profile(self, unit_scale: Tuple[float, float]) -> np.ndarray:
-        """eps_crit(n) for n = 1..MAX_BITS_CAP, 0 where n has no c1 & c2 point."""
+    def column_margins(self, unit_scale: Tuple[float, float]) -> Tuple[np.ndarray, np.ndarray]:
+        """The critical margin of each column's front, a (MAX_BITS_CAP, columns)
+        table that is 0 where a column has no c1 & c2 point at n, and its row
+        max eps_crit(n). Both are cached, read-only, for the last unit scale."""
         if self._front is None:
-            # a column without a c1 & c2 point keeps infinite terms: eps_crit 0
+            # a column without a c1 & c2 point keeps infinite terms: margin 0
             a = np.full((MAX_BITS_CAP, self.i_grid.size), np.inf)
             b = a.copy()
+            rows = np.zeros(a.shape, dtype=np.intp)
             for n in range(1, MAX_BITS_CAP + 1):
                 c12 = self.c1 & self.c2(n)
                 cols = np.flatnonzero(c12.any(axis=0))
                 if cols.size == 0:
                     break  # the c1 & c2 sets nest, so every larger n is empty too
-                rows = c12[:, cols].argmax(axis=0)
-                a[n - 1, cols], b[n - 1, cols] = self.jitter_terms(n, self.c_grid[rows], self.i_grid[cols])
-            self._front = a, b
-        return self.critical_epsilon(*self._front, unit_scale).max(axis=1)
+                rows[n - 1, cols] = c12[:, cols].argmax(axis=0)
+                a[n - 1, cols], b[n - 1, cols] = self.jitter_terms(
+                    n, self.c_grid[rows[n - 1, cols]], self.i_grid[cols]
+                )
+            self._front = a, b, rows
+        key = tuple(unit_scale)
+        if self._margins[0] != key:
+            margins = self.critical_epsilon(self._front[0], self._front[1], key)
+            crit = margins.max(axis=1)
+            margins.flags.writeable = crit.flags.writeable = False
+            self._margins = key, margins, crit
+        return self._margins[1:]
+
+    def profile(self, unit_scale: Tuple[float, float]) -> np.ndarray:
+        """eps_crit(n) for n = 1..MAX_BITS_CAP, 0 where n has no c1 & c2 point."""
+        return self.column_margins(unit_scale)[1]
+
+    def optimum(self, n: int, epsilon: float, unit_scale: Tuple[float, float]) -> Optional[Tuple[float, float]]:
+        """optimal_point(self.region(n, epsilon, unit_scale)), or None when that
+        region is empty: the last column whose front reaches epsilon, at its
+        front row."""
+        cols = np.flatnonzero(self.column_margins(unit_scale)[0][n - 1] >= epsilon)
+        if cols.size == 0:
+            return None
+        col = cols[-1]
+        return float(self.c_grid[self._front[2][n - 1, col]]), float(self.i_grid[col])
 
     def feasible_any(self, n: int, epsilon: float, unit_scale: Tuple[float, float]) -> bool:
         return bool(self.profile(unit_scale)[n - 1] >= epsilon)
@@ -410,10 +447,10 @@ def _evaluate_targets(
         elif kind in ("feasible", "infeasible"):
             ok = tables.feasible_any(int(t["n"]), eps, scale) == (kind == "feasible")
         elif kind == "optimum":
-            region = tables.region(int(t["n"]), eps, scale)
-            ok = not region.is_empty
+            point = tables.optimum(int(t["n"]), eps, scale)
+            ok = point is not None
             if ok:
-                c_opt, i_opt = optimal_point(region)
+                c_opt, i_opt = point
                 steps_c = abs(math.log(c_opt / t["c_star"])) / _log_step(tables.c_grid)
                 steps_i = abs(math.log(i_opt / t["i_star"])) / _log_step(tables.i_grid)
                 allowed = float(t.get("grid_steps", 1)) + 1e-9
@@ -469,6 +506,10 @@ def calibrate_units(
     too coarsely to satisfy every headline target at once, so when no
     convention passes, stage two searches the per-term scale pair directly
     (ratio x magnitude), which the unit_scale field is defined to carry.
+
+    Every target of every candidate scale, the optimum included, reads the
+    one per-scale column table of _ConstraintTables (front margins and their
+    row max), computed once per candidate; no candidate builds a grid.
 
     Raises FieldValidationError for a malformed target and CalibrationError
     when no candidate meets every target.

@@ -45,7 +45,7 @@ def test_criterion_1_initialization_validity_bound():
         tech = TechnologyProfile(v_dd=1.2, v_thn=0.319)
         cell = CellDesign(c_s_eff=0.23e-15, dq_of_md=0.5e-15)
         bound = init_validity_min_cstar(cell, tech)
-        assert bound == pytest.approx(2.2e-15, rel=0.02)
+        assert bound == pytest.approx(2.2e-15, rel=0.02, abs=0)
 
 
 def test_criterion_2_design_space_headlines(tmp_path, monkeypatch):
@@ -97,11 +97,11 @@ def test_criterion_4_energy_reconstruction():
     ):
         cell, tech = CellDesign(), TechnologyProfile()
         per_bit_cap = 2 * en.cap_energy(cell.c_star, tech)
-        assert per_bit_cap == pytest.approx(6.336e-15, rel=1e-12)
-        assert per_bit_cap == pytest.approx(6.8e-15, rel=0.10)
+        assert per_bit_cap == pytest.approx(6.336e-15, rel=1e-12, abs=0)
+        assert per_bit_cap == pytest.approx(6.8e-15, rel=0.10, abs=0)
 
         breakdown = en.mac_energy(MultiplierSpec.from_weight(31, 5), cell, tech, mode="sense")
-        assert breakdown.total == pytest.approx(110e-15, rel=0.15)
+        assert breakdown.total == pytest.approx(110e-15, rel=0.15, abs=0)
         assert breakdown.total == (
             breakdown.e_cstar + breakdown.e_td1 + breakdown.e_td2 + breakdown.e_pu + breakdown.e_inv
         )

@@ -61,8 +61,8 @@ class TestInitialDrop:
 class TestInitValidity:
     def test_default_bound_matches_design_floor(self, cell, tech):
         bound = ca.init_validity_min_cstar(cell, tech)
-        assert bound == pytest.approx(C1_MIN, rel=1e-12)
-        assert bound == pytest.approx(2.2e-15, rel=0.02)
+        assert bound == pytest.approx(C1_MIN, rel=1e-12, abs=0)
+        assert bound == pytest.approx(2.2e-15, rel=0.02, abs=0)
 
     def test_degenerate_cell_allows_any_cap(self, tech):
         cell = CellDesign(c_s_eff=0.0, dq_of_md=0.0, dq_of_pd=0.0)
@@ -72,7 +72,7 @@ class TestInitValidity:
         low = CellDesign(c_s_eff=0.0, dq_of_md=0.5e-15, dq_of_pd=0.4e-15)
         high = CellDesign(c_s_eff=0.0, dq_of_md=1.0e-15, dq_of_pd=0.4e-15)
         assert ca.init_validity_min_cstar(high, tech) == pytest.approx(
-            2 * ca.init_validity_min_cstar(low, tech), rel=1e-12
+            2 * ca.init_validity_min_cstar(low, tech), rel=1e-12, abs=0
         )
 
 

@@ -140,7 +140,7 @@ class TestEnergy:
     def test_total_near_reference(self, run, tmp_path):
         assert run("energy", "--out", tmp_path / "e") == 0
         data = json.loads((tmp_path / "e.json").read_text())
-        assert data["total"] == pytest.approx(110e-15, rel=0.15)
+        assert data["total"] == pytest.approx(110e-15, rel=0.15, abs=0)
         rows = read_csv(tmp_path / "e.csv")
         assert rows[0][0] == "component"
 
@@ -177,6 +177,15 @@ class TestCalibrate:
 
         # subsequent commands pick the persisted scale up
         assert run("region", "--bits", 5, "--out", tmp_path / "after.csv") == 0
+
+    @pytest.mark.parametrize("text", ["{}", "{bad", '{"unit_scale": [1]}'])
+    def test_rewrites_a_malformed_calibration(self, run, tmp_path, text):
+        confdir = tmp_path / "confdir"
+        confdir.mkdir()
+        (confdir / "calibration.json").write_text(text)
+        assert run("calibrate", "--grid-points", 16) == 0
+        data = json.loads((confdir / "calibration.json").read_text())
+        assert len(data["unit_scale"]) == 2 and all(data["targets_met"])
 
 
 class TestConfigHandling:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from delaymac import design_space as ds
 from delaymac.errors import (
@@ -149,6 +150,23 @@ class TestCalibration:
         assert result.unit_scale[0] == pytest.approx(DEFAULT_UNIT_SCALE[0], rel=1e-9)
         assert result.unit_scale[1] == pytest.approx(DEFAULT_UNIT_SCALE[1], rel=1e-9)
 
+    @pytest.mark.parametrize(
+        "points, unit_scale, residual, convention",
+        [
+            (64, (3.057459377384319e-12, 0.33794080777260843), 0.3191663920359983,
+             "per-term pair, sd/td ratio 0.007071"),
+            (128, (2.6843690551471173e-12, 0.3730844671473809), 0.32495318828043124,
+             "per-term pair, sd/td ratio 0.005623"),
+        ],
+    )
+    def test_default_targets_golden(self, cell, tech, fit, points, unit_scale, residual, convention):
+        # exact values of the search that built a full region per candidate
+        # for the optimum target; reading the column table changes no bit
+        result = ds.calibrate_units(ds.DEFAULT_CALIBRATION_TARGETS, fit, tech, cell, *ds.default_grids(points))
+        assert result.unit_scale == unit_scale
+        assert result.residual == residual
+        assert result.convention == convention
+
     def test_empty_targets_identity(self, cell, tech, fit):
         result = ds.calibrate_units((), fit, tech, cell)
         assert result.unit_scale == (1.0, 1.0)
@@ -251,6 +269,40 @@ class TestProfileOracle:
         for bits in (0, reach):
             targets = [{"kind": "max_bits", "epsilon": 1.0, "bits": bits}]
             assert ds._anchor_interval(tables, targets, lambda m: (m, m)) is None
+
+
+@st.composite
+def grid_shapes(draw):
+    """c_star and i_star point counts, as often square as not."""
+    n_c = draw(st.integers(16, 256))
+    return n_c, n_c if draw(st.booleans()) else draw(st.integers(16, 256))
+
+
+class TestColumnTable:
+    """Every answer of the per-scale column table against the full region."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=grid_shapes(),
+        n=st.integers(1, 12),
+        eps=st.floats(1.0, 30.0),
+        decades=st.tuples(st.floats(-4.0, 2.0), st.floats(-4.0, 2.0)),
+    )
+    def test_table_answers_match_the_region(self, cell, tech, fit, shape, n, eps, decades):
+        c_grid = np.geomspace(*ds.DEFAULT_C_SPAN, shape[0])
+        i_grid = np.geomspace(*ds.DEFAULT_I_SPAN, shape[1])
+        scale = tuple(s * 10.0**d for s, d in zip(fit.unit_scale, decades))
+        tables = ds._ConstraintTables(c_grid, i_grid, cell, tech, fit)
+        region = tables.region(n, eps, scale)
+        point = tables.optimum(n, eps, scale)
+        if region.is_empty:
+            assert point is None
+        else:
+            assert point == ds.optimal_point(region)
+        assert tables.feasible_any(n, eps, scale) == (not region.is_empty)
+        bits = tables.max_bits(eps, scale)
+        counted = range(1, min(max(12, bits + 1), ds.MAX_BITS_CAP) + 1)
+        assert bits == sum(not tables.region(k, eps, scale).is_empty for k in counted)
 
 
 class TestCalibrationTargets:

@@ -9,17 +9,17 @@ from delaymac.params import MultiplierSpec, TechnologyProfile
 
 class TestCapEnergy:
     def test_storage_cap(self, tech):
-        assert en.cap_energy(2.2e-15, tech) == pytest.approx(3.168e-15, rel=1e-12)
+        assert en.cap_energy(2.2e-15, tech) == pytest.approx(3.168e-15, rel=1e-12, abs=0)
 
     def test_two_cells_per_bit_near_reference(self, tech):
         per_bit = 2 * en.cap_energy(2.2e-15, tech)
         reference = en.REFERENCE_5BIT_ENERGY_FJ["e_cstar"][1] * 1e-15
-        assert per_bit == pytest.approx(reference, rel=0.10)
+        assert per_bit == pytest.approx(reference, rel=0.10, abs=0)
 
     def test_quadratic_in_supply(self):
         low = en.cap_energy(1e-15, TechnologyProfile(v_dd=1.2))
         high = en.cap_energy(1e-15, TechnologyProfile(v_dd=2.4))
-        assert high == pytest.approx(4 * low, rel=1e-12)
+        assert high == pytest.approx(4 * low, rel=1e-12, abs=0)
 
     def test_rejects_nonpositive(self, tech):
         with pytest.raises(FieldValidationError):
@@ -33,7 +33,7 @@ class TestShortCircuit:
     def test_inverse_in_rate(self, tech):
         one = en.short_circuit_energy(1e9, tech)
         half_rate = en.short_circuit_energy(0.5e9, tech)
-        assert half_rate == pytest.approx(2 * one, rel=1e-12)
+        assert half_rate == pytest.approx(2 * one, rel=1e-12, abs=0)
 
     def test_exponential_blowup_per_cell(self, tech):
         r0 = 4.5e8
@@ -44,13 +44,13 @@ class TestShortCircuit:
     def test_multiplier_total(self, tech):
         r0 = 4.5e8
         total = en.multiplier_short_circuit_total(5, r0, tech)
-        assert total == pytest.approx((2**6 - 1) * en.short_circuit_energy(r0, tech), rel=1e-12)
+        assert total == pytest.approx((2**6 - 1) * en.short_circuit_energy(r0, tech), rel=1e-12, abs=0)
 
 
 class TestMacEnergy:
     def test_sense_total_near_reference(self, cell, tech, spec31):
         breakdown = en.mac_energy(spec31, cell, tech)
-        assert breakdown.total == pytest.approx(110e-15, rel=0.15)
+        assert breakdown.total == pytest.approx(110e-15, rel=0.15, abs=0)
         assert breakdown.per_bit == breakdown.total / 5
 
     def test_components_sum_exactly(self, cell, tech, spec31):
@@ -60,11 +60,11 @@ class TestMacEnergy:
     def test_per_component_reference_values(self, cell, tech, spec31):
         b = en.mac_energy(spec31, cell, tech)
         ref = en.REFERENCE_5BIT_ENERGY_FJ
-        assert b.e_cstar == pytest.approx(ref["e_cstar"][0] * 1e-15, rel=0.10)
-        assert b.e_td1 == pytest.approx(ref["e_td1"][0] * 1e-15, rel=0.10)
-        assert b.e_td2 == pytest.approx(ref["e_td2"][0] * 1e-15, rel=0.10)
-        assert b.e_pu == pytest.approx(ref["e_pu"][0] * 1e-15, rel=0.10)
-        assert b.e_inv == pytest.approx(ref["e_inv"][0] * 1e-15, rel=0.10)
+        assert b.e_cstar == pytest.approx(ref["e_cstar"][0] * 1e-15, rel=0.10, abs=0)
+        assert b.e_td1 == pytest.approx(ref["e_td1"][0] * 1e-15, rel=0.10, abs=0)
+        assert b.e_td2 == pytest.approx(ref["e_td2"][0] * 1e-15, rel=0.10, abs=0)
+        assert b.e_pu == pytest.approx(ref["e_pu"][0] * 1e-15, rel=0.10, abs=0)
+        assert b.e_inv == pytest.approx(ref["e_inv"][0] * 1e-15, rel=0.10, abs=0)
 
     def test_reference_rows_sum_consistency(self):
         ref = en.REFERENCE_5BIT_ENERGY_FJ
@@ -93,7 +93,7 @@ class TestMacEnergy:
         spec = MultiplierSpec.from_weight(5, 5)
         accel = en.mac_energy(spec, cell, tech, mode="acceleration", rho=1.0)
         sense = en.mac_energy(spec, cell, tech, mode="sense")
-        assert accel.e_cstar == pytest.approx(sense.e_cstar, rel=1e-12)
+        assert accel.e_cstar == pytest.approx(sense.e_cstar, rel=1e-12, abs=0)
 
     def test_mode_validation(self, cell, tech, spec31):
         with pytest.raises(FieldValidationError, match="mode"):

@@ -16,7 +16,7 @@ VAR_TD_DESIGN_POINT = 4.498465243704724e-24
 class TestTheory:
     def test_reference_value(self, cell, tech):
         got = jt.sd_jitter_theory(cell, tech, g_d0=1e-6, t_d=1e-9)
-        assert got == pytest.approx(SD_THEORY_REFERENCE, rel=1e-12)
+        assert got == pytest.approx(SD_THEORY_REFERENCE, rel=1e-12, abs=0)
 
     def test_zero_delay(self, cell, tech):
         assert jt.sd_jitter_theory(cell, tech, g_d0=1e-6, t_d=0.0) == 0.0
@@ -24,19 +24,19 @@ class TestTheory:
     def test_linear_in_delay(self, cell, tech):
         one = jt.sd_jitter_theory(cell, tech, g_d0=1e-6, t_d=1e-9)
         two = jt.sd_jitter_theory(cell, tech, g_d0=1e-6, t_d=2e-9)
-        assert two == pytest.approx(2 * one, rel=1e-12)
+        assert two == pytest.approx(2 * one, rel=1e-12, abs=0)
 
     def test_delay_expansion_path(self, cell, tech):
         t_d = (cell.c_star / cell.i_star) * (0.6 - 0.3)
         direct = jt.sd_jitter_theory(cell, tech, g_d0=1e-6, t_d=t_d)
         expanded = jt.sd_jitter_theory(cell, tech, g_d0=1e-6, dv_th=0.6, dv0=0.3)
-        assert expanded == pytest.approx(direct, rel=1e-12)
+        assert expanded == pytest.approx(direct, rel=1e-12, abs=0)
 
     def test_td_reference_value(self):
         cell = CellDesign(c_re=0.382e-15)
         tech = TechnologyProfile(v_thn=0.32)
         assert jt.td_variance_theory(cell, tech, g0=1e-9) == pytest.approx(
-            TD_THEORY_REFERENCE, rel=1e-12
+            TD_THEORY_REFERENCE, rel=1e-12, abs=0
         )
 
     def test_td_independent_of_ramp_rate(self, cell, tech):
@@ -47,32 +47,32 @@ class TestTheory:
     def test_td_proportional_to_cre(self, tech):
         a = jt.td_variance_theory(CellDesign(c_re=0.4e-15), tech, g0=1e-9)
         b = jt.td_variance_theory(CellDesign(c_re=0.8e-15), tech, g0=1e-9)
-        assert b == pytest.approx(2 * a, rel=1e-12)
+        assert b == pytest.approx(2 * a, rel=1e-12, abs=0)
 
 
 class TestFitted:
     def test_design_point_pins(self, cell, fit):
-        assert jt.sd_jitter_fitted(cell, fit) == pytest.approx(VAR_SD_DESIGN_POINT, rel=1e-9)
-        assert jt.td_jitter_fitted(cell, fit) == pytest.approx(VAR_TD_DESIGN_POINT, rel=1e-9)
+        assert jt.sd_jitter_fitted(cell, fit) == pytest.approx(VAR_SD_DESIGN_POINT, rel=1e-9, abs=0)
+        assert jt.td_jitter_fitted(cell, fit) == pytest.approx(VAR_TD_DESIGN_POINT, rel=1e-9, abs=0)
 
     def test_sd_linear_in_cstar(self, cell, fit):
         from dataclasses import replace
 
         doubled = replace(cell, c_star=2 * cell.c_star)
         assert jt.sd_jitter_fitted(doubled, fit) == pytest.approx(
-            2 * jt.sd_jitter_fitted(cell, fit), rel=1e-12
+            2 * jt.sd_jitter_fitted(cell, fit), rel=1e-12, abs=0
         )
 
     def test_sd_halving_current_scales_by_2_pow_p(self, cell, fit):
         halved = cell.with_current(cell.i_star / 2)
         assert jt.sd_jitter_fitted(halved, fit) == pytest.approx(
-            2**2.46 * jt.sd_jitter_fitted(cell, fit), rel=1e-9
+            2**2.46 * jt.sd_jitter_fitted(cell, fit), rel=1e-9, abs=0
         )
 
     def test_td_doubling_rate_scales_by_2_pow_q(self, cell, fit):
         doubled_rate = cell.with_current(2 * cell.i_star)
         assert jt.td_jitter_fitted(cell, fit) == pytest.approx(
-            2**1.5 * jt.td_jitter_fitted(doubled_rate, fit), rel=1e-9
+            2**1.5 * jt.td_jitter_fitted(doubled_rate, fit), rel=1e-9, abs=0
         )
 
     def test_td_depends_only_on_rate(self, cell, fit):
@@ -80,7 +80,7 @@ class TestFitted:
 
         scaled = replace(cell, c_star=3 * cell.c_star, i_star=3 * cell.i_star)
         assert jt.td_jitter_fitted(scaled, fit) == pytest.approx(
-            jt.td_jitter_fitted(cell, fit), rel=1e-12
+            jt.td_jitter_fitted(cell, fit), rel=1e-12, abs=0
         )
 
     def test_uncalibrated_fit_raises(self, cell):
@@ -117,7 +117,7 @@ class TestBudget:
         assert budget.var_sd == pytest.approx(jt.sd_jitter_fitted(cell, fit), rel=1e-12, abs=0)
         assert budget.var_td == pytest.approx(jt.td_jitter_fitted(cell, fit), rel=1e-12, abs=0)
         assert budget.sigma_total == pytest.approx(
-            np.sqrt(budget.var_sd + budget.var_td), rel=1e-12
+            np.sqrt(budget.var_sd + budget.var_td), rel=1e-12, abs=0
         )
 
     def test_single_source_budget(self):
@@ -147,7 +147,7 @@ class TestSampler:
     def test_variance_within_band(self, cell, fit):
         samples = jt.sample_cell_jitter(seed=1234, cell=cell, fit=fit, count=100_000)
         model = jt.total_jitter(cell, fit).var_sd + jt.total_jitter(cell, fit).var_td
-        assert np.var(samples, ddof=1) == pytest.approx(model, rel=0.05)
+        assert np.var(samples, ddof=1) == pytest.approx(model, rel=0.05, abs=0)
 
     def test_mean_near_zero(self, cell, fit):
         n = 100_000
@@ -175,7 +175,7 @@ class TestSampler:
             total = total + jt.sample_cell_jitter(seed=1000 + k, cell=c, fit=fit, count=100_000)
             b = jt.total_jitter(c, fit)
             expected += b.var_sd + b.var_td
-        assert np.var(total, ddof=1) == pytest.approx(expected, rel=0.05)
+        assert np.var(total, ddof=1) == pytest.approx(expected, rel=0.05, abs=0)
 
     def test_count_validation(self, cell, fit):
         with pytest.raises(ValueError):

@@ -34,7 +34,7 @@ def test_no_suffix_is_si():
     ],
 )
 def test_suffix_grammar(text, expected):
-    assert parse_quantity(text) == pytest.approx(expected, rel=1e-15)
+    assert parse_quantity(text) == pytest.approx(expected, rel=1e-15, abs=0)
 
 
 @pytest.mark.parametrize("text", ["", "f", "2.2x", "1 2", "2,2f", "u1", "nan", "2.2ff"])
