@@ -39,6 +39,8 @@ from .design_space import (
     DEFAULT_CALIBRATION_TARGETS,
     DEFAULT_GRID_POINTS,
     DEFAULT_I_SPAN,
+    MAX_GRID_POINTS,
+    MIN_GRID_POINTS,
     DesignRegion,
     calibrate_units,
     constraint_region,
@@ -136,16 +138,38 @@ _REGION_TAILS = tuple(f"{k >> 3},{k >> 2 & 1},{k >> 1 & 1},{k & 1}\n" for k in r
 
 def _write_region_csv(path: Path, region: DesignRegion) -> None:
     """The bytes _write_csv gives for region.csv_rows(), from each grid axis
-    formatted once and one join per c_star row."""
-    i_cells = [format_number(i) + "," for i in region.grid_istar]
+    formatted once and one join per c_star row.
+
+    A row is its c_star cell followed by one "i_star,c1,c2,c3,feasible\\n"
+    piece per column, and a piece depends only on its column and mask code.
+    So each column has a 16-entry table of pieces, one list holds the
+    current row's pieces, and each row replaces only the pieces whose code
+    differs from the previous row's: a few per column where a constraint
+    boundary crosses it, every changed cell for arbitrary masks.
+    """
     codes = np.zeros(region.feasible.shape, dtype=np.uint8)
     for mask in (region.mask_c1, region.mask_c2, region.mask_c3, region.feasible):
-        codes = (codes << 1) | mask
+        codes <<= 1
+        codes |= mask
+    tables = []
+    for i in region.grid_istar:
+        i_cell = format_number(i) + ","
+        tables.append([i_cell + tail for tail in _REGION_TAILS])
+    pieces = [table[k] for table, k in zip(tables, codes[0].tolist())]
+    # changes into row r are those at index [stops[r - 1], stops[r])
+    from_rows, cols = np.nonzero(codes[1:] != codes[:-1])
+    new_codes = codes[1:][from_rows, cols].tolist()
+    stops = np.searchsorted(from_rows, np.arange(codes.shape[0])).tolist()
+    cols = cols.tolist()
     with open(path, "w", newline="") as fh:
         fh.write("c_star,i_star,c1,c2,c3,feasible\n")
-        for c, row in zip(region.grid_cstar, codes.tolist()):
+        start = 0
+        for c, stop in zip(region.grid_cstar, stops):
+            for j, k in zip(cols[start:stop], new_codes[start:stop]):
+                pieces[j] = tables[j][k]
+            start = stop
             c_cell = format_number(c) + ","
-            fh.write("".join([c_cell + i_cell + _REGION_TAILS[k] for i_cell, k in zip(i_cells, row)]))
+            fh.write(c_cell + c_cell.join(pieces))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -175,7 +199,7 @@ def _grids(args):
 
 def _add_grid_flags(parser) -> None:
     parser.add_argument("--grid-points", type=int, default=DEFAULT_GRID_POINTS,
-                        help="points per grid axis (default %(default)s)")
+                        help=f"points per grid axis, {MIN_GRID_POINTS} to {MAX_GRID_POINTS} (default %(default)s)")
     parser.add_argument("--c-span", default=None, metavar="LO:HI",
                         help="storage-cap span, suffixed quantities (default 0.5f:50f)")
     parser.add_argument("--i-span", default=None, metavar="LO:HI",

@@ -26,7 +26,23 @@ scale builds a region. Scaling (s1, s2) by m scales eps_crit by m**-0.5, so
 calibration reads the magnitude window of each candidate ray off the
 profile at m = 1.
 
-Grid evaluation is vectorized and deterministic.
+Each constraint is monotone along one grid axis, so it is kept as a
+boundary and never evaluated over the whole grid:
+
+- c1 is a suffix in C (one row index): c_grid is strictly increasing.
+- c2 at n is a per-row threshold in i: the detector margin is i times
+  positive per-row constants, each a correctly rounded op, so it is
+  non-decreasing along a row, and 2**-n scales it exactly.
+- c3 at (n, epsilon) is a per-column prefix in C: a_n and b_n are
+  non-decreasing in C at a fixed current, so the critical margin is
+  non-increasing down a column.
+
+Boundaries are found by bisection vectorized over all rows or columns, with
+array ufuncs on contiguous gathered vectors, never numpy scalars: numpy's
+scalar exp/power can differ from its SIMD loops in the last ulp, and the
+boundaries must sit exactly where the full-grid masks change. Region masks
+are built by broadcasting against the boundaries; nothing else holds a
+(rows, columns) array. Grid evaluation is vectorized and deterministic.
 """
 
 from __future__ import annotations
@@ -51,6 +67,9 @@ DEFAULT_I_SPAN = (50e-9, 20e-6)
 DEFAULT_GRID_POINTS = 64
 
 MIN_GRID_POINTS = 16
+#: Largest points per axis default_grids builds: a 4096**2 region CSV is
+#: about 0.9 GB, and its masks take 16.8 MB each.
+MAX_GRID_POINTS = 4096
 MAX_BITS_CAP = 48
 
 #: Excess margins from here up count as never reaching a bit count.
@@ -62,9 +81,13 @@ def default_grids(
     c_span: Tuple[float, float] = DEFAULT_C_SPAN,
     i_span: Tuple[float, float] = DEFAULT_I_SPAN,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Logarithmic (c_star, i_star_fastest) grids covering the design span."""
-    if points < MIN_GRID_POINTS:
-        raise FieldValidationError("grid_points", f"needs at least {MIN_GRID_POINTS} (got {points})")
+    """Logarithmic (c_star, i_star_fastest) grids covering the design span,
+    with MIN_GRID_POINTS to MAX_GRID_POINTS points, checked before any
+    allocation."""
+    if not MIN_GRID_POINTS <= points <= MAX_GRID_POINTS:
+        raise FieldValidationError(
+            "grid_points", f"needs {MIN_GRID_POINTS} to {MAX_GRID_POINTS} points per axis (got {points})"
+        )
     return (
         np.geomspace(c_span[0], c_span[1], points),
         np.geomspace(i_span[0], i_span[1], points),
@@ -72,7 +95,9 @@ def default_grids(
 
 
 def _validate_grid(grid: np.ndarray, name: str) -> np.ndarray:
-    grid = np.asarray(grid, dtype=float)
+    # contiguous, so the ufuncs over it and over gathered points take the
+    # same SIMD loops
+    grid = np.ascontiguousarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < MIN_GRID_POINTS:
         raise FieldValidationError(name, f"needs at least {MIN_GRID_POINTS} points")
     if not np.all(np.diff(grid) > 0):
@@ -128,11 +153,12 @@ class DesignRegion:
             "feasible": not self.is_empty,
         }
         if not self.is_empty:
-            ci, ii = np.nonzero(self.feasible)
+            ci = np.flatnonzero(self.feasible.any(axis=1))
+            ii = np.flatnonzero(self.feasible.any(axis=0))
             c_opt, i_opt = optimal_point(self)
             out["bounds"] = {
-                "c_star": [float(self.grid_cstar[ci.min()]), float(self.grid_cstar[ci.max()])],
-                "i_star": [float(self.grid_istar[ii.min()]), float(self.grid_istar[ii.max()])],
+                "c_star": [float(self.grid_cstar[ci[0]]), float(self.grid_cstar[ci[-1]])],
+                "i_star": [float(self.grid_istar[ii[0]]), float(self.grid_istar[ii[-1]])],
             }
             out["optimum"] = {"c_star": c_opt, "i_star": i_opt}
         else:
@@ -141,21 +167,61 @@ class DesignRegion:
         return out
 
 
-class _ConstraintTables:
-    """The constraints over one grid, and the per-column critical margins at
-    any unit scale.
+def _first_true(pred, size: int, lanes: int) -> np.ndarray:
+    """Per lane, the first index in [0, size) where pred holds, size where it
+    never does, for a predicate that is false then true along the index.
 
-    The jitter terms a_n = k1 * C / i_slow**p1 and b_n = k2 * (C / i_slow)**q2
-    (i_slow = i_star_fastest * 2**-n) do not depend on the unit scale, so
-    candidate scales during calibration only recombine stored terms. Both
-    are non-decreasing in C at a fixed current, so in each current column the
-    front, the smallest c1 & c2 capacitance, has the largest critical margin:
-    the column table keeps only the front per column and bit count, never a
-    full grid per n, and every calibration target reads it. A column has a
-    feasible point iff its front is feasible, and the front is then its
-    smallest feasible C, so optimum() is exactly optimal_point of the full
-    region. Both terms also grow with n and the c1 & c2 sets nest, so
-    eps_crit is non-increasing in n.
+    pred takes one index per lane (an intp vector) and returns one bool per
+    lane; it is called at most ceil(log2(size + 1)) times, on all lanes at once.
+    """
+    lo = np.zeros(lanes, dtype=np.intp)
+    hi = np.full(lanes, size, dtype=np.intp)
+    while True:
+        open_ = lo < hi
+        if not open_.any():
+            return lo
+        mid = (lo + hi) // 2
+        ok = pred(np.minimum(mid, size - 1))
+        hi = np.where(open_ & ok, mid, hi)
+        lo = np.where(open_ & ~ok, mid + 1, lo)
+
+
+class _ConstraintTables:
+    """The constraints over one grid, as boundaries, and the per-column
+    critical margins at any unit scale.
+
+    Each constraint is monotone along one grid axis, so it is stored as a
+    boundary; no (rows, columns) array is kept, and only region() builds
+    masks, for its caller:
+
+    - c1 is a suffix in C, the rows from c1_start on: c_grid is strictly
+      increasing, so c_grid > floor holds exactly from searchsorted on.
+    - c2 at n is a per-row threshold in i, the columns from the row's start.
+      margin0 = (i / C) * f(C) * v_thn / v_t is i times positive per-row
+      constants, each step a correctly rounded op, so every row is
+      non-decreasing in i; and 2**-n scales it exactly.
+    - c3 at (n, epsilon) is a per-column prefix in C, the rows before the
+      column's end. The jitter terms a_n = k1 * C / i_slow**p1 and
+      b_n = k2 * (C / i_slow)**q2 (i_slow = i_star_fastest * 2**-n) are
+      non-decreasing in C at a fixed current, so the critical margin is
+      non-increasing down each column.
+
+    A bisection vectorized over all rows or columns at once finds each
+    boundary. It evaluates the constraint formulas with array ufuncs on
+    contiguous gathered vectors, never on numpy scalars, whose exp and power
+    can differ from the SIMD loops in the last ulp: so each boundary sits
+    exactly where the mask evaluated over the whole grid changes.
+
+    The jitter terms do not depend on the unit scale, so candidate scales
+    during calibration only recombine stored terms. In each current column
+    the front, the smallest c1 & c2 capacitance, has the largest critical
+    margin: the column table keeps only the front per column and bit count,
+    read off the running minimum of the per-row c2 starts, and every
+    calibration target reads it. A column has a feasible point iff its
+    front is feasible, and the front is then its smallest feasible C, so
+    optimum() is exactly optimal_point of the full region. Both terms also
+    grow with n and the c1 & c2 sets nest, so eps_crit is non-increasing in
+    n.
     """
 
     def __init__(
@@ -169,25 +235,41 @@ class _ConstraintTables:
         self.c_grid = _validate_grid(c_grid, "grid_cstar")
         self.i_grid = _validate_grid(i_grid, "grid_istar")
         self.fit = fit
-        self.cc, self.ii = np.meshgrid(self.c_grid, self.i_grid, indexing="ij")
-        self.c1 = self.cc > init_validity_min_cstar(cell, tech)
-        # detector margin at n = 0 and the initialization drop for v_a = v_dd,
-        # where it is worst; halving the slowest current halves it exactly
-        dv0_vdd = (cell.c_s_eff * (tech.v_dd - tech.v_thn) + cell.dq_of_md) / self.cc
-        self.margin0 = (
-            (self.ii / self.cc)
-            * (cell.c_re / (tech.i_0 * np.exp(dv0_vdd / tech.v_t)))
-            * (tech.v_thn / tech.v_t)
-        )
+        self.c1_start = int(np.searchsorted(self.c_grid, init_validity_min_cstar(cell, tech), "right"))
+        # detector margin at n = 0 is (i / C) * row factor * v_thn / v_t, with
+        # the initialization drop for v_a = v_dd, where it is worst; halving
+        # the slowest current halves it exactly
+        dv0_vdd = (cell.c_s_eff * (tech.v_dd - tech.v_thn) + cell.dq_of_md) / self.c_grid
+        self._margin_rows = cell.c_re / (tech.i_0 * np.exp(dv0_vdd / tech.v_t))
+        self._margin_volts = tech.v_thn / tech.v_t
         self.rhs0 = JITTER_MARGIN_FRACTION * cell.c_s_eff / self.i_grid
         # the front's terms (a, b) and c_grid rows, and the last unit scale
         # asked with its column margins and their row max
         self._front: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._margins: Tuple[Optional[tuple], np.ndarray, np.ndarray] = (None, np.empty(0), np.empty(0))
 
-    def c2(self, n: int) -> np.ndarray:
-        """Detector-linearity mask of constraint 2 at n bits."""
-        return self.margin0 * 2.0**-n > 1.0
+    def c2_starts(self, ns: Sequence[int]) -> np.ndarray:
+        """(len(ns), rows) first i_grid column of each row meeting constraint 2
+        at each bit count, i_grid.size where none does."""
+        rows = self.c_grid.size
+        lane_rows = np.tile(np.arange(rows), len(ns))
+        c, f = self.c_grid[lane_rows], self._margin_rows[lane_rows]
+        halving = np.repeat([2.0**-n for n in ns], rows)
+
+        def meets(j):
+            return (self.i_grid[j] / c) * f * self._margin_volts * halving > 1.0
+
+        return _first_true(meets, self.i_grid.size, lane_rows.size).reshape(len(ns), rows)
+
+    def c3_ends(self, n: int, epsilon: float, unit_scale: Tuple[float, float]) -> np.ndarray:
+        """First c_grid row of each column failing constraint 3, c_grid.size
+        where every row meets it."""
+
+        def fails(r):
+            crit = self.critical_epsilon(*self.jitter_terms(n, self.c_grid[r], self.i_grid), unit_scale)
+            return ~(epsilon <= crit)
+
+        return _first_true(fails, self.c_grid.size, self.i_grid.size)
 
     def jitter_terms(self, n: int, c: np.ndarray, i: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Scale-free variance terms (a_n, b_n) of the slowest cell at (c, i)."""
@@ -204,15 +286,18 @@ class _ConstraintTables:
         return self.rhs0 / (3.0 * np.sqrt(s1 * a + s2 * b))
 
     def region(self, n: int, epsilon: float, unit_scale: Tuple[float, float]) -> DesignRegion:
-        c2 = self.c2(n)
-        c3 = epsilon <= self.critical_epsilon(*self.jitter_terms(n, self.cc, self.ii), unit_scale)
+        rows, cols = np.arange(self.c_grid.size)[:, None], np.arange(self.i_grid.size)
+        c1 = np.zeros((rows.size, cols.size), dtype=bool)
+        c1[self.c1_start:] = True
+        c2 = cols >= self.c2_starts([n])[0][:, None]
+        c3 = rows < self.c3_ends(n, epsilon, unit_scale)
         return DesignRegion(
             grid_cstar=self.c_grid.copy(),
             grid_istar=self.i_grid.copy(),
-            mask_c1=self.c1.copy(),
+            mask_c1=c1,
             mask_c2=c2,
             mask_c3=c3,
-            feasible=self.c1 & c2 & c3,
+            feasible=c1 & c2 & c3,
             n_bits=n,
             epsilon=epsilon,
         )
@@ -226,12 +311,17 @@ class _ConstraintTables:
             a = np.full((MAX_BITS_CAP, self.i_grid.size), np.inf)
             b = a.copy()
             rows = np.zeros(a.shape, dtype=np.intp)
+            # the smallest c2 start over the c1 rows up to each row, which is
+            # non-increasing: a column's front is the first row where it is
+            # at most the column
+            reach = np.minimum.accumulate(self.c2_starts(range(1, MAX_BITS_CAP + 1))[:, self.c1_start:], axis=1)
+            neg_cols = -np.arange(self.i_grid.size)
             for n in range(1, MAX_BITS_CAP + 1):
-                c12 = self.c1 & self.c2(n)
-                cols = np.flatnonzero(c12.any(axis=0))
+                front = np.searchsorted(-reach[n - 1], neg_cols, "left")
+                cols = np.flatnonzero(front < reach.shape[1])
                 if cols.size == 0:
                     break  # the c1 & c2 sets nest, so every larger n is empty too
-                rows[n - 1, cols] = c12[:, cols].argmax(axis=0)
+                rows[n - 1, cols] = self.c1_start + front[cols]
                 a[n - 1, cols], b[n - 1, cols] = self.jitter_terms(
                     n, self.c_grid[rows[n - 1, cols]], self.i_grid[cols]
                 )

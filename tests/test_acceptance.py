@@ -194,7 +194,7 @@ def test_criterion_8_bias_network():
         for n in range(1, 9):
             currents = bs.branch_currents(v_ref, n, tech)
             for i in range(n):
-                assert currents[i] == pytest.approx(currents[0] / 2**i, rel=1e-12)
+                assert currents[i] == pytest.approx(currents[0] / 2**i, rel=1e-12, abs=0)
             plan = bs.bias_plan(v_ref, n, tech)
             for b1, b2 in zip(plan.v_b1, plan.v_b2):
                 assert b2 - b1 == pytest.approx(0.1, abs=1e-9)

@@ -41,7 +41,7 @@ class TestBranchCurrents:
         v_ref = bs.v_ref_for_current(1e-6, tech)
         currents = bs.branch_currents(v_ref, 8, tech)
         for i in range(1, 8):
-            assert currents[i] == pytest.approx(currents[0] / 2**i, rel=1e-12)
+            assert currents[i] == pytest.approx(currents[0] / 2**i, rel=1e-12, abs=0)
 
     def test_one_microamp_ladder(self, tech):
         v_ref = bs.v_ref_for_current(1e-6, tech)
@@ -63,7 +63,7 @@ class TestBranchCurrents:
     def test_diode_law_round_trip(self, tech):
         for i_target in (1e-8, 1e-7, 1e-6):
             v = bs.v_ref_for_current(i_target, tech)
-            assert bs.bias_current(v, tech) == pytest.approx(i_target, rel=1e-12)
+            assert bs.bias_current(v, tech) == pytest.approx(i_target, rel=1e-12, abs=0)
 
 
 class TestBiasPlan:
@@ -87,7 +87,7 @@ class TestBiasPlan:
         plan = bs.bias_plan(bs.v_ref_for_current(1e-6, tech), 3, tech)
         rows = plan.csv_rows()
         assert [r[0] for r in rows] == [0, 1, 2]
-        assert rows[1][1] == pytest.approx(0.5e-6, rel=1e-9)
+        assert rows[1][1] == pytest.approx(0.5e-6, rel=1e-9, abs=0)
 
 
 class TestSecondaryWidths:

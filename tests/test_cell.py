@@ -82,13 +82,13 @@ class TestAbsoluteDelay:
 
     def test_default_point(self, cell):
         assert ca.absolute_delay_ideal(DV0_AT_VDD, 0.6, cell) == pytest.approx(
-            6.173699999999998e-10, rel=1e-12
+            6.173699999999998e-10, rel=1e-12, abs=0
         )
 
     def test_slowest_cell_of_5_bits(self, cell):
         slow = cell.with_current(31.25e-9)
         assert ca.absolute_delay_ideal(DV0_AT_VDD, 0.6, slow) == pytest.approx(
-            1.9755839999999994e-08, rel=1e-12
+            1.9755839999999994e-08, rel=1e-12, abs=0
         )
 
     def test_negative_span_rejected(self, cell):
@@ -101,13 +101,13 @@ class TestReferentialDelay:
         assert ca.referential_delay_ideal(cell.v_a0, cell) == 0.0
 
     def test_full_swing(self, cell):
-        assert ca.referential_delay_ideal(1.2, cell) == pytest.approx(-1.035e-10, rel=1e-12)
+        assert ca.referential_delay_ideal(1.2, cell) == pytest.approx(-1.035e-10, rel=1e-12, abs=0)
 
     def test_current_scaling(self, cell):
         slow = cell.with_current(31.25e-9)
-        assert ca.referential_delay_ideal(1.2, slow) == pytest.approx(-3.312e-9, rel=1e-12)
+        assert ca.referential_delay_ideal(1.2, slow) == pytest.approx(-3.312e-9, rel=1e-12, abs=0)
         assert ca.referential_delay_ideal(1.2, slow) == pytest.approx(
-            32 * ca.referential_delay_ideal(1.2, cell), rel=1e-12
+            32 * ca.referential_delay_ideal(1.2, cell), rel=1e-12, abs=0
         )
 
     def test_exactly_affine(self, cell, tech):
@@ -128,7 +128,7 @@ class TestReferentialDelay:
 class TestVarCap:
     def test_constant_cap_reduces_to_ideal(self, cell, tech):
         got = ca.referential_delay_varcap(1.2, cell, tech, lambda v: cell.c_star)
-        assert got == pytest.approx(ca.referential_delay_ideal(1.2, cell), rel=1e-9)
+        assert got == pytest.approx(ca.referential_delay_ideal(1.2, cell), rel=1e-9, abs=0)
 
     def test_linear_cap_against_closed_form(self, cell, tech):
         c0, alpha = cell.c_star, 0.3
@@ -142,7 +142,7 @@ class TestVarCap:
         antiderivative = lambda v: c0 * (v + alpha * (v**2 / 2 - tech.v_dd * v))
         expected = (antiderivative(hi) - antiderivative(lo)) / cell.i_star
         got = ca.referential_delay_varcap(1.2, cell, tech, c_of_v)
-        assert got == pytest.approx(expected, rel=1e-9)
+        assert got == pytest.approx(expected, rel=1e-9, abs=0)
 
     def test_zero_at_reference(self, cell, tech):
         assert ca.referential_delay_varcap(cell.v_a0, cell, tech, lambda v: cell.c_star) == 0.0
@@ -157,7 +157,7 @@ class TestPvOffset:
         assert ca.pv_delay_offset(0.0, cell) == 0.0
 
     def test_ten_millivolts(self, cell):
-        assert ca.pv_delay_offset(0.01, cell) == pytest.approx(-2.3e-12, rel=1e-12)
+        assert ca.pv_delay_offset(0.01, cell) == pytest.approx(-2.3e-12, rel=1e-12, abs=0)
 
     def test_odd_symmetry(self, cell):
         assert ca.pv_delay_offset(-0.01, cell) == -ca.pv_delay_offset(0.01, cell)
@@ -210,7 +210,7 @@ class TestLatchPoint:
 class TestLatchDelay:
     def test_default_point(self, cell, tech):
         res = ca.latch_delay(DV0_AT_VDD, cell, tech)
-        assert res.t_d == pytest.approx(LATCH_DELAY_VDD, rel=1e-12)
+        assert res.t_d == pytest.approx(LATCH_DELAY_VDD, rel=1e-12, abs=0)
         assert res.linearized
 
     def test_dv_th_is_the_latch_point_for_any_dv0(self, cell, tech):
@@ -224,7 +224,7 @@ class TestLatchDelay:
         dv_th = ca.latch_point(cell, tech)
         res = ca.latch_delay(dv_th, cell, tech)
         expected = tech.v_t * math.log(2) / cell.ramp_rate
-        assert res.t_d == pytest.approx(expected, rel=1e-9)
+        assert res.t_d == pytest.approx(expected, rel=1e-9, abs=0)
         assert not res.linearized
 
     @given(st.floats(min_value=0.0, max_value=0.36), st.floats(min_value=0.001, max_value=0.01))

@@ -133,7 +133,7 @@ class TestSimulate:
             "simulate", "--weights", "3,-2", "--va", "1.0,0.9", "--out", tmp_path / "i.csv"
         ) == 0
         rows = read_csv(tmp_path / "i.csv")
-        assert float(rows[1][1]) == pytest.approx(-1.035e-10, rel=1e-12)
+        assert float(rows[1][1]) == pytest.approx(-1.035e-10, rel=1e-12, abs=0)
 
 
 class TestEnergy:
@@ -158,7 +158,7 @@ class TestBias:
         rows = read_csv(tmp_path / "b.csv")
         currents = [float(r[1]) for r in rows[1:]]
         for a, b in zip(currents, currents[1:]):
-            assert b == pytest.approx(a / 2, rel=1e-12)
+            assert b == pytest.approx(a / 2, rel=1e-12, abs=0)
         plan = json.loads((tmp_path / "b.json").read_text())
         assert plan["n_bits"] == 5
 
@@ -198,7 +198,7 @@ class TestConfigHandling:
         ) == 0
         rows = read_csv(tmp_path / "c.csv")
         # doubled current halves the unit referential delay
-        assert float(rows[1][1]) == pytest.approx(-3.2085e-9 / 2, rel=1e-12)
+        assert float(rows[1][1]) == pytest.approx(-3.2085e-9 / 2, rel=1e-12, abs=0)
 
     def test_bad_config_exit_one(self, run, tmp_path):
         cfg = tmp_path / "bad.json"

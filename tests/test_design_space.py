@@ -147,7 +147,7 @@ class TestCalibration:
     def test_reproduces_packaged_scale(self, cell, tech):
         raw = JitterFit(unit_scale=None)
         result = ds.calibrate_units(ds.DEFAULT_CALIBRATION_TARGETS, raw, tech, cell)
-        assert result.unit_scale[0] == pytest.approx(DEFAULT_UNIT_SCALE[0], rel=1e-9)
+        assert result.unit_scale[0] == pytest.approx(DEFAULT_UNIT_SCALE[0], rel=1e-9, abs=0)
         assert result.unit_scale[1] == pytest.approx(DEFAULT_UNIT_SCALE[1], rel=1e-9)
 
     @pytest.mark.parametrize(

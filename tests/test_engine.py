@@ -39,7 +39,7 @@ def test_trial_zero_is_the_traced_chain(cell, tech, fit, spec31, pair_factor):
         WEIGHTS, V_AS, spec31, cell, tech, fit=fit, seed=5, pair_factor=pair_factor
     )
     assert trials[0] == total
-    assert sum(s.delta_t for s in trace) == pytest.approx(total, rel=1e-12)
+    assert sum(s.delta_t for s in trace) == pytest.approx(total, rel=1e-12, abs=0)
     assert len(set(trials.tolist())) == 300
 
 

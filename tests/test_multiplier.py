@@ -25,7 +25,7 @@ class TestSimulateMultiply:
 
     def test_full_weight_reference_value(self, cell, tech, spec31):
         res = mu.simulate_multiply(EV0, spec31, 1.2, cell, tech)
-        assert res.delta_t == pytest.approx(-3.2085e-9, rel=1e-12)
+        assert res.delta_t == pytest.approx(-3.2085e-9, rel=1e-12, abs=0)
 
     def test_ideal_matches_closed_form_everywhere(self, cell, tech):
         for weight in range(0, 32):
@@ -150,10 +150,10 @@ class TestJitterAccumulation:
 class TestDotProduct:
     def test_hand_summed_oracle(self, cell, tech, spec31):
         total, trace = mu.simulate_dot_product([3, -2], [1.0, 0.9], spec31, cell, tech)
-        assert total == pytest.approx(-1.035e-10, rel=1e-12)
+        assert total == pytest.approx(-1.035e-10, rel=1e-12, abs=0)
         assert len(trace) == 2
-        assert trace[0].delta_t == pytest.approx(ideal_delta(3, 1.0), rel=1e-12)
-        assert trace[1].delta_t == pytest.approx(ideal_delta(-2, 0.9), rel=1e-12)
+        assert trace[0].delta_t == pytest.approx(ideal_delta(3, 1.0), rel=1e-12, abs=0)
+        assert trace[1].delta_t == pytest.approx(ideal_delta(-2, 0.9), rel=1e-12, abs=0)
 
     def test_all_zero_weights(self, cell, tech, spec31):
         total, _ = mu.simulate_dot_product([0, 0, 0], [1.0, 0.8, 0.3], spec31, cell, tech)
@@ -163,12 +163,12 @@ class TestDotProduct:
         pairs = [(3, 1.0), (-2, 0.9), (7, 0.4)]
         a, _ = mu.simulate_dot_product(*zip(*pairs), spec31, cell, tech)
         b, _ = mu.simulate_dot_product(*zip(*reversed(pairs)), spec31, cell, tech)
-        assert a == pytest.approx(b, rel=1e-12)
+        assert a == pytest.approx(b, rel=1e-12, abs=0)
 
     def test_chained_events(self, cell, tech, spec31):
         total, trace = mu.simulate_dot_product([1, 1], [1.0, 1.0], spec31, cell, tech)
         assert trace[1].event_in == trace[0].event_out
-        assert trace[-1].event_out.referential_delay == pytest.approx(total, rel=1e-9)
+        assert trace[-1].event_out.referential_delay == pytest.approx(total, rel=1e-9, abs=0)
 
     def test_weight_overflow(self, cell, tech, spec31):
         with pytest.raises(OverflowError):
@@ -234,7 +234,7 @@ class TestTransferSweep:
         rows = mu.transfer_sweep(spec31, [1.1], weights, cell, tech)
         units = [r["delta_t_s"] / w for r, w in zip(rows, weights)]
         for u in units[1:]:
-            assert u == pytest.approx(units[0], rel=1e-12)
+            assert u == pytest.approx(units[0], rel=1e-12, abs=0)
 
     def test_row_schema(self, cell, tech, spec31):
         rows = mu.transfer_sweep(spec31, [0.9], [-3], cell, tech, seed=5)
