@@ -46,7 +46,6 @@ from .design_space import (
     constraint_region,
     default_grids,
     max_bits_curve,
-    optimal_point,
 )
 from .energy import mac_energy
 from .errors import CalibrationError, ConfigError, DelaymacError, FieldValidationError
@@ -215,11 +214,12 @@ def cmd_region(args, run: Run) -> int:
         args.bits, c_grid, i_grid, cfg.cell, cfg.tech, cfg.fit, epsilon=args.epsilon
     )
     _write_region_csv(run.output(Path(args.out).suffix or ".csv"), region)
-    _write_json(run.output(".summary.json"), region.summary())
+    summary = region.summary()
+    _write_json(run.output(".summary.json"), summary)
     if region.is_empty:
         print(f"n={args.bits}: no feasible design point", file=sys.stderr)
         return EXIT_INFEASIBLE
-    c_opt, i_opt = optimal_point(region)
+    c_opt, i_opt = summary["optimum"]["c_star"], summary["optimum"]["i_star"]
     print(f"n={args.bits}: optimum c_star={format_number(c_opt)} F, i_star={format_number(i_opt)} A")
     return EXIT_OK
 
@@ -354,6 +354,9 @@ def cmd_calibrate(args, run: Run) -> int:
     run.stem.parent.mkdir(parents=True, exist_ok=True)
     _write_json(run.output(".json"), result.to_dict())
     print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
+    if result.tied_scales > 1:
+        print(f"warning: {result.tied_scales} distinct unit scales tie at the best residual;"
+              " the targets do not pin the unit scale", file=sys.stderr)
     return EXIT_OK
 
 

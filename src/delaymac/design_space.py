@@ -450,27 +450,24 @@ _TARGET_RANGES: Dict[str, Tuple[float, float]] = {
     "i_star": (sys.float_info.min, math.inf),
 }
 
-#: Discrete unit conventions tried first: per-axis scales for capacitance,
-#: current and time in which the constants may have been fitted.
-UNIT_CONVENTIONS: Tuple[Tuple[str, float, float, float], ...] = tuple(
-    (f"C[{cn}] I[{inm}] t[{tn}]", cv, iv, tv)
-    for cn, cv in (("SI", 1.0), ("1e-15", 1e-15))
-    for inm, iv in (("SI", 1.0), ("1e-6", 1e-6))
-    for tn, tv in (("SI", 1.0), ("1e-9", 1e-9))
-)
-
 #: Residual contribution of a missed hard target.
 _MISS_PENALTY = 1e3
 
 
 @dataclass(frozen=True)
 class CalibrationResult:
-    """Outcome of the unit-convention search."""
+    """Outcome of the unit-scale search.
+
+    tied_scales counts the distinct candidate scales that meet every target
+    at the best residual; more than one means the targets do not pin the
+    unit scale. It stays out of to_dict.
+    """
 
     unit_scale: Tuple[float, float]
     residual: float
     targets_met: Tuple[bool, ...]
     convention: str
+    tied_scales: int = 1
 
     @property
     def all_met(self) -> bool:
@@ -516,9 +513,8 @@ def _evaluate_targets(
     tables: _ConstraintTables,
     targets: Sequence[dict],
     scale: Tuple[float, float],
-    lazy: bool = False,
 ) -> Tuple[List[bool], float]:
-    """Check each target; lazy mode marks the rest failed after a first miss.
+    """Check every target at one scale.
 
     A missed target costs _MISS_PENALTY on top of its distance, so every
     candidate meeting all targets ranks ahead of any that misses one.
@@ -526,10 +522,6 @@ def _evaluate_targets(
     met: List[bool] = []
     residual = 0.0
     for t in targets:
-        if lazy and residual >= _MISS_PENALTY:
-            met.append(False)
-            residual += _MISS_PENALTY
-            continue
         kind, eps, cost = t["kind"], float(t.get("epsilon", 1.0)), 0.0
         if kind == "max_bits":
             got = tables.max_bits(eps, scale)
@@ -590,16 +582,19 @@ def calibrate_units(
 ) -> CalibrationResult:
     """Resolve the unit scale pair (s1, s2) of the fitted jitter constants.
 
-    Stage one walks the discrete axis conventions (capacitance/current/time
-    each SI or 1e-15 / 1e-6 / 1e-9 scaled) with one continuous global scale.
-    The discrete set quantizes the relative weight of the two jitter terms
-    too coarsely to satisfy every headline target at once, so when no
-    convention passes, stage two searches the per-term scale pair directly
-    (ratio x magnitude), which the unit_scale field is defined to carry.
+    One search over per-term scale pairs, which the unit_scale field is
+    defined to carry: 29 ratios of the two jitter terms at a reference
+    design point (the optimum target's, or the nominal cell), each ray
+    sampled at up to 17 distinct magnitudes across the window where the
+    max_bits target holds, then 9 ratios around the best candidate meeting
+    every target. Every target of every candidate scale, the optimum
+    included, reads the one per-scale column table of _ConstraintTables
+    (front margins and their row max), computed once per candidate; no
+    candidate builds a grid.
 
-    Every target of every candidate scale, the optimum included, reads the
-    one per-scale column table of _ConstraintTables (front margins and their
-    row max), computed once per candidate; no candidate builds a grid.
+    The lowest residual wins, the first found on a tie; tied_scales counts
+    the distinct scales tied with it, and more than one means the targets
+    leave the unit scale free.
 
     Raises FieldValidationError for a malformed target and CalibrationError
     when no candidate meets every target.
@@ -614,63 +609,51 @@ def calibrate_units(
 
     raw_fit = fit.with_unit_scale((1.0, 1.0))
     tables = _ConstraintTables(c_grid, i_grid, cell_template, tech, raw_fit)
+    opt_target = next((t for t in targets if t["kind"] == "optimum"), None)
+    mb_target = next((t for t in targets if t["kind"] == "max_bits"), None)
+    c_ref = float(opt_target["c_star"]) if opt_target else cell_template.c_star
+    i_ref = float(opt_target["i_star"]) if opt_target else cell_template.i_star
+    n_ref = int(opt_target["n"]) if opt_target else (int(mb_target["bits"]) if mb_target else 5)
+    a_ref, b_ref = tables.jitter_terms(n_ref, c_ref, i_ref)
+    budget = (JITTER_MARGIN_FRACTION * cell_template.c_s_eff / i_ref) ** 2 / 9.0
 
     candidates: List[Tuple[float, Tuple[float, float], Tuple[bool, ...], str]] = []
 
-    def scan(scale_of, label: str) -> None:
+    def scan(x: float) -> None:
+        """Evaluate the ray with sd/td ratio x at the reference point."""
+
+        def scale_of(m: float) -> Tuple[float, float]:
+            var_td = m * budget / (1.0 + x)
+            return x * var_td / a_ref, var_td / b_ref
+
         interval = _anchor_interval(tables, targets, scale_of)
         if interval is None:
             return
-        for m in np.geomspace(interval[0], interval[1], 17):
-            scale = scale_of(float(m))
-            met, residual = _evaluate_targets(tables, targets, scale, lazy=True)
+        label = f"per-term pair, sd/td ratio {x:.4g}"
+        # equal magnitudes give equal candidates, so each is evaluated once
+        for m in dict.fromkeys(np.geomspace(interval[0], interval[1], 17).tolist()):
+            scale = scale_of(m)
+            met, residual = _evaluate_targets(tables, targets, scale)
             candidates.append((residual, scale, tuple(met), label))
 
-    for name, u_c, u_i, u_t in UNIT_CONVENTIONS:
-        base1 = u_t**2 * u_i**fit.p1 / u_c
-        base2 = u_t**2 * (u_i / u_c) ** fit.q2
-        scan(lambda m, b1=base1, b2=base2: (m * b1, m * b2), f"global scale x {name}")
-
-    if not any(all(c[2]) for c in candidates):
-        # stage two: per-term pair. Reference the optimum target's design
-        # point (or the nominal cell) to parametrize ratio and magnitude.
-        opt_target = next((t for t in targets if t["kind"] == "optimum"), None)
-        mb_target = next((t for t in targets if t["kind"] == "max_bits"), None)
-        c_ref = float(opt_target["c_star"]) if opt_target else cell_template.c_star
-        i_ref = float(opt_target["i_star"]) if opt_target else cell_template.i_star
-        n_ref = int(opt_target["n"]) if opt_target else (int(mb_target["bits"]) if mb_target else 5)
-        a_ref, b_ref = tables.jitter_terms(n_ref, c_ref, i_ref)
-        budget = (JITTER_MARGIN_FRACTION * cell_template.c_s_eff / i_ref) ** 2 / 9.0
-
-        def pair_of(x: float):
-            def scale_of(m: float) -> Tuple[float, float]:
-                var_td = m * budget / (1.0 + x)
-                return x * var_td / a_ref, var_td / b_ref
-
-            return scale_of
-
-        for x in np.geomspace(1e-5, 1e2, 29):
-            scan(pair_of(float(x)), f"per-term pair, sd/td ratio {x:.4g}")
-
-        met_any = [c for c in candidates if all(c[2])]
-        if met_any:
-            # refine around the best coarse candidate
-            best = min(met_any, key=lambda c: c[0])
-            s1_b, s2_b = best[1]
-            x_b = (s1_b * a_ref) / (s2_b * b_ref)
-            for x in x_b * np.geomspace(0.5, 2.0, 9):
-                scan(pair_of(float(x)), f"per-term pair, sd/td ratio {x:.4g}")
-
-    met_candidates = [c for c in candidates if all(c[2])]
-    if not met_candidates:
-        best = min(candidates, key=lambda c: c[0]) if candidates else None
+    for x in np.geomspace(1e-5, 1e2, 29):
+        scan(float(x))
+    met_any = [c for c in candidates if all(c[2])]
+    if not met_any:
         detail = ""
-        if best is not None:
+        if candidates:
+            best = min(candidates, key=lambda c: c[0])
             missed = [i for i, ok in enumerate(best[2]) if not ok]
             detail = f"; best candidate ({best[3]}) missed target indices {missed}"
-        raise CalibrationError(f"no unit convention satisfies all calibration targets{detail}")
-    _, scale, _, label = min(met_candidates, key=lambda c: c[0])
-    met, residual = _evaluate_targets(tables, targets, scale, lazy=False)
+        raise CalibrationError(f"no unit scale satisfies all calibration targets{detail}")
+    # refine around the best coarse candidate
+    s1_b, s2_b = min(met_any, key=lambda c: c[0])[1]
+    x_b = (s1_b * a_ref) / (s2_b * b_ref)
+    for x in x_b * np.geomspace(0.5, 2.0, 9):
+        scan(float(x))
+    met_any = [c for c in candidates if all(c[2])]
+    residual, scale, met, label = min(met_any, key=lambda c: c[0])
+    tied = len({c[1] for c in met_any if c[0] == residual})
     return CalibrationResult(
-        unit_scale=scale, residual=residual, targets_met=tuple(met), convention=label
+        unit_scale=scale, residual=residual, targets_met=met, convention=label, tied_scales=tied
     )

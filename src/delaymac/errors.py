@@ -34,7 +34,7 @@ class UncalibratedFitError(DelaymacError, RuntimeError):
 
 
 class CalibrationError(DelaymacError, RuntimeError):
-    """No unit convention satisfies the calibration targets."""
+    """No candidate unit scale satisfies every calibration target."""
 
 
 class InfeasibleRegionError(DelaymacError, ValueError):
