@@ -15,6 +15,13 @@ write order and tool version. An exit 1 or a failed calibrate writes no
 manifest. Exit codes: 0 success, 1 usage/config error, 2 domain
 infeasibility (empty region, failed calibration). Every input error, usage
 errors included, prints one "error:" line, exits 1 and writes no file.
+
+simulate writes its trial CSV and its trace (--trials 1) from the engine's
+arrays, each value formatted once, in the bytes csv.writer and
+json.dump(indent=2, sort_keys=True) give; a non-finite value, which JSON
+cannot hold, exits 1 before either is written. Like --grid-points,
+simulate's --trials and maxbits' --epsilon-grid step count are capped
+before anything is allocated; each subcommand's --help gives its cap.
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ from .design_space import (
 )
 from .energy import mac_energy
 from .errors import CalibrationError, ConfigError, DelaymacError, FieldValidationError
-from .multiplier import MultiplierSpec, simulate_chain
+from .multiplier import ChainResult, MultiplierSpec, simulate_chain
 from .params import JitterFit
 from .units import coerce_quantity, format_number
 
@@ -59,6 +66,11 @@ EXIT_INFEASIBLE = 2
 
 CONFIG_DIR_ENV = "DELAYMAC_CONFIG_DIR"
 CALIBRATION_FILENAME = "calibration.json"
+
+#: Largest --trials of simulate (8 B per trial in memory, ~30 B in the CSV).
+MAX_TRIALS = 10**7
+#: Largest --epsilon-grid step count of maxbits.
+MAX_EPSILON_STEPS = 10**5
 
 
 class _Parser(argparse.ArgumentParser):
@@ -172,10 +184,58 @@ def _write_region_csv(path: Path, region: DesignRegion) -> None:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    # streamed: a 4096-stage trace built as one string peaks ~9 MB higher
+    # json.dump streams, but with indent set it runs the pure-Python encoder,
+    # so simulate's large outputs go through the column writers below
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+# each writer below formats one block per write: a 4096-stage trace built
+# as one string peaks ~1 MB higher
+_TRACE_BLOCK_STAGES = 512
+_CSV_BLOCK_TRIALS = 4096
+
+# one stage of the trace as json.dump(indent=2, sort_keys=True) lays it out
+_TRACE_STAGE = (
+    '    {\n'
+    '      "delta_t_s": %s,\n'
+    '      "event_in": {\n        "t_ref": %s,\n        "t_var": %s\n      },\n'
+    '      "event_out": {\n        "t_ref": %s,\n        "t_var": %s\n      },\n'
+    '      "stage": %d,\n'
+    '      "v_a": %s,\n'
+    '      "weight": %d\n'
+    '    }'
+)
+
+
+def _write_trials_csv(path: Path, deltas: np.ndarray, mean: float, sigma: float) -> None:
+    """The bytes _write_csv gives for the trial rows plus mean and sigma,
+    each delta formatted once."""
+    with open(path, "w", newline="") as fh:
+        fh.write("trial,delta_t_s\n")
+        for start in range(0, deltas.size, _CSV_BLOCK_TRIALS):
+            block = deltas[start:start + _CSV_BLOCK_TRIALS].tolist()
+            fh.write("".join(map("{},{}\n".format, range(start, start + len(block)), map(repr, block))))
+        fh.write(f"mean,{format_number(mean)}\nsigma,{format_number(sigma)}\n")
+
+
+def _write_trace_json(path: Path, chain: ChainResult, weights: Sequence[int], v_as: Sequence[float]) -> None:
+    """The bytes _write_json gives for the trial-0 trace of chain, from its
+    columns: stage j's event_out reuses the strings of stage j + 1's
+    event_in, so each value is formatted once (the event between two
+    blocks twice)."""
+    with open(path, "w") as fh:
+        fh.write('{\n  "stages": [')
+        sep = "\n"
+        for start in range(0, len(weights), _TRACE_BLOCK_STAGES):
+            stop = min(start + _TRACE_BLOCK_STAGES, len(weights))
+            t_var, t_ref = (list(map(repr, col)) for col in chain.events[start:stop + 1].T.tolist())
+            rows = zip(map(repr, chain.stage_deltas[start:stop].tolist()), t_ref, t_var, t_ref[1:], t_var[1:],
+                       range(start, stop), map(repr, v_as[start:stop]), weights[start:stop])
+            fh.write(sep + ",\n".join(_TRACE_STAGE % row for row in rows))
+            sep = ",\n"
+        fh.write(("\n  ]" if weights else "]") + f',\n  "total_delta_t_s": {format_number(chain.deltas[0])}\n}}\n')
 
 
 def _parse_span(text: str) -> Tuple[float, float]:
@@ -233,8 +293,8 @@ def cmd_maxbits(args, run: Run) -> int:
         lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise DelaymacError(f"--epsilon-grid must be lo:hi:steps (got {args.epsilon_grid!r}): {exc}") from exc
-    if steps < 1 or not 1.0 <= lo <= hi < math.inf:
-        raise DelaymacError("epsilon grid needs steps >= 1 and finite 1 <= lo <= hi")
+    if not 1 <= steps <= MAX_EPSILON_STEPS or not 1.0 <= lo <= hi < math.inf:
+        raise DelaymacError(f"epsilon grid needs 1 to {MAX_EPSILON_STEPS} steps and finite 1 <= lo <= hi")
     c_grid, i_grid = _grids(args)
     epsilons = [float(eps) for eps in np.linspace(lo, hi, steps)]
     n_max = max_bits_curve(epsilons, c_grid, i_grid, cfg.cell, cfg.tech, cfg.fit)
@@ -259,8 +319,8 @@ def cmd_simulate(args, run: Run) -> int:
     v_as = _parse_float_list(args.va, "--va")
     if len(weights) != len(v_as):
         raise DelaymacError(f"got {len(weights)} weights but {len(v_as)} --va entries")
-    if args.trials < 1:
-        raise DelaymacError("--trials must be >= 1")
+    if not 1 <= args.trials <= MAX_TRIALS:
+        raise DelaymacError(f"--trials must be 1 to {MAX_TRIALS} (got {args.trials})")
     if args.seed < 0:
         raise DelaymacError(f"--seed must be >= 0 (got {args.seed})")
     model = "ideal" if args.model == "noisy" else args.model
@@ -272,31 +332,16 @@ def cmd_simulate(args, run: Run) -> int:
     for warning in chain.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     deltas = chain.deltas
-    rows = [(t, float(d)) for t, d in enumerate(deltas)]
     mean = float(np.mean(deltas))
     sigma = float(np.std(deltas, ddof=1)) if args.trials > 1 else 0.0
-    rows.append(("mean", mean))
-    rows.append(("sigma", sigma))
-    _write_csv(run.output(Path(args.out).suffix or ".csv"), ("trial", "delta_t_s"), rows)
-    if args.trials == 1:
-        # single runs also dump the per-stage event trace of that trial
-        _write_json(
-            run.output(".trace.json"),
-            {
-                "total_delta_t_s": rows[0][1],
-                "stages": [
-                    {
-                        "stage": s.stage,
-                        "weight": s.weight,
-                        "v_a": s.v_a,
-                        "event_in": {"t_var": s.event_in.t_var, "t_ref": s.event_in.t_ref},
-                        "event_out": {"t_var": s.event_out.t_var, "t_ref": s.event_out.t_ref},
-                        "delta_t_s": s.delta_t,
-                    }
-                    for s in chain.trace(weights, v_as)
-                ],
-            },
-        )
+    # single runs also dump the per-stage event trace of that trial
+    traced = (chain.stage_deltas, chain.events) if args.trials == 1 else ()
+    # the writers' repr gives nan/inf, which JSON has no literal for
+    if not all(np.isfinite(v).all() for v in (deltas, mean, sigma, *traced)):
+        raise DelaymacError("the chain gave a non-finite delay or event time; nothing was written")
+    _write_trials_csv(run.output(Path(args.out).suffix or ".csv"), deltas, mean, sigma)
+    if traced:
+        _write_trace_json(run.output(".trace.json"), chain, weights, v_as)
     print(f"delta_t mean={format_number(mean)} s sigma={format_number(sigma)} s over {args.trials} trials")
     return EXIT_OK
 
@@ -378,7 +423,8 @@ def build_parser() -> _Parser:
     _add_grid_flags(p)
 
     p = add("maxbits", cmd_maxbits, "maximum bit count versus excess jitter margin")
-    p.add_argument("--epsilon-grid", required=True, metavar="LO:HI:STEPS")
+    p.add_argument("--epsilon-grid", required=True, metavar="LO:HI:STEPS",
+                   help=f"epsilon from LO to HI in 1 to {MAX_EPSILON_STEPS} steps")
     p.add_argument("--out", required=True)
     _add_grid_flags(p)
 
@@ -386,7 +432,8 @@ def build_parser() -> _Parser:
     p.add_argument("--weights", required=True, help="comma-separated signed integers")
     p.add_argument("--va", required=True, help="comma-separated analog inputs, volts")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=1)
+    p.add_argument("--trials", type=int, default=1,
+                   help=f"Monte-Carlo trials, 1 to {MAX_TRIALS} (default %(default)s)")
     p.add_argument("--model", choices=("ideal", "nonlinear", "noisy"), default="ideal")
     p.add_argument("--out", required=True)
 

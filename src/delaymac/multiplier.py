@@ -93,7 +93,11 @@ class ChainResult:
     warnings: Tuple[str, ...]
 
     def trace(self, weights: Sequence[int], v_as: Sequence[float]) -> List[StageTrace]:
-        """Trial 0 stage by stage, given the weights and inputs the chain ran on."""
+        """Trial 0 stage by stage, given the weights and inputs the chain ran on.
+
+        simulate_dot_product returns this; the CLI writes its trace straight
+        from the arrays instead.
+        """
         events = [ReferentialEvent(*pair) for pair in self.events.tolist()]
         return [
             StageTrace(j, int(w), v_a, events[j], events[j + 1], delta)
