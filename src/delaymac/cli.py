@@ -22,6 +22,11 @@ json.dump(indent=2, sort_keys=True) give; a non-finite value, which JSON
 cannot hold, exits 1 before either is written. Like --grid-points,
 simulate's --trials and maxbits' --epsilon-grid step count are capped
 before anything is allocated; each subcommand's --help gives its cap.
+
+A bit count, region's and energy's --bits or a config's n_bits, must be 1
+to 48 and is checked before anything is sized by it; bias --bits must be 1
+to 8. Out of range is an input error: region --bits 49 and up exits 1, not
+2, and energy --bits 49 and up exits 1 instead of running.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ from .design_space import (
 from .energy import mac_energy
 from .errors import CalibrationError, ConfigError, DelaymacError, FieldValidationError
 from .multiplier import ChainResult, MultiplierSpec, simulate_chain
-from .params import JitterFit
+from .params import MAX_BITS_CAP, JitterFit, require_bit_count
 from .units import coerce_quantity, format_number
 
 EXIT_OK = 0
@@ -267,8 +272,7 @@ def _add_grid_flags(parser) -> None:
 
 def cmd_region(args, run: Run) -> int:
     cfg = run.cfg
-    if args.bits < 1:
-        raise DelaymacError(f"--bits must be >= 1 (got {args.bits})")
+    require_bit_count(args.bits, "--bits")
     c_grid, i_grid = _grids(args)
     region = constraint_region(
         args.bits, c_grid, i_grid, cfg.cell, cfg.tech, cfg.fit, epsilon=args.epsilon
@@ -349,8 +353,7 @@ def cmd_simulate(args, run: Run) -> int:
 def cmd_energy(args, run: Run) -> int:
     cfg = run.cfg
     n_bits = args.bits if args.bits is not None else cfg.mult.n_bits
-    if n_bits < 1:
-        raise DelaymacError(f"--bits must be >= 1 (got {n_bits})")
+    require_bit_count(n_bits, "--bits")
     if args.weight is not None:
         spec = MultiplierSpec.from_weight(args.weight, n_bits, cfg.mult.i_star_fastest, cfg.mult.v_a0)
     elif n_bits == cfg.mult.n_bits:
@@ -417,7 +420,7 @@ def build_parser() -> _Parser:
         return p
 
     p = add("region", cmd_region, "evaluate the feasibility constraints for one bit count")
-    p.add_argument("--bits", type=int, required=True)
+    p.add_argument("--bits", type=int, required=True, help=f"bit count, 1 to {MAX_BITS_CAP}")
     p.add_argument("--epsilon", type=float, default=1.0, help="excess jitter margin (default 1)")
     p.add_argument("--out", required=True, help="CSV output path")
     _add_grid_flags(p)
@@ -438,14 +441,15 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
 
     p = add("energy", cmd_energy, "per-MAC energy breakdown")
-    p.add_argument("--bits", type=int, default=None)
+    p.add_argument("--bits", type=int, default=None,
+                   help=f"bit count, 1 to {MAX_BITS_CAP} (default: the config's n_bits)")
     p.add_argument("--weight", type=int, default=None, help="signed weight (default: all bits set)")
     p.add_argument("--mode", choices=("sense", "acceleration"), default="sense")
     p.add_argument("--rho", type=float, default=0.0, help="acceleration-mode residual recharge fraction")
     p.add_argument("--out", required=True)
 
     p = add("bias", cmd_bias, "bias-network sizing, currents and gate voltages")
-    p.add_argument("--bits", type=int, required=True)
+    p.add_argument("--bits", type=int, required=True, help="bit count, 1 to 8")
     p.add_argument("--vref", default=None, help="reference voltage (suffixed quantity)")
     p.add_argument("--ibias", default=None, help="target fastest-cell current (suffixed quantity)")
     p.add_argument("--out", required=True)

@@ -15,13 +15,7 @@ from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
 from .errors import ConfigError, FieldValidationError, QuantityError
-from .params import (
-    CellDesign,
-    JitterFit,
-    MultiplierSpec,
-    TechnologyProfile,
-    thermal_voltage,
-)
+from .params import CellDesign, JitterFit, MultiplierSpec, TechnologyProfile
 from .units import coerce_quantity, format_number
 
 # v_t last: its default is kT/q at the resolved temperature
@@ -39,6 +33,8 @@ _RECORDS = (
     ("mult", MultiplierSpec, MULT_KEYS),
     ("fit", JitterFit, FIT_KEYS),
 )
+
+_DEFAULT_NOTES = {"weight_bits": "default: all ones", "unit_scale": "default: packaged calibration"}
 
 
 @dataclass(frozen=True)
@@ -97,7 +93,11 @@ def _show(value) -> str:
 
 
 def resolve_config(data: dict, source: Optional[str] = None) -> ResolvedConfig:
-    """Validate a raw mapping and fill defaults, recording each one."""
+    """Validate a raw mapping and fill defaults, recording each one.
+
+    Each record is built from the keys the file gave, and every default is
+    read back off the built record, so the log shows what the records hold.
+    """
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
     unknown = sorted(set(data) - KNOWN_KEYS)
@@ -105,29 +105,17 @@ def resolve_config(data: dict, source: Optional[str] = None) -> ResolvedConfig:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
 
     provenance: List[str] = []
-
-    def take(cls, key: str, kwargs: dict):
-        if key in data:
-            return _convert(key, data[key])
-        default, note = cls.__dataclass_fields__[key].default, "default"
-        if key == "v_t":
-            default = thermal_voltage(kwargs["temperature"])
-            note = f"default: kT/q at {_show(kwargs['temperature'])} K"
-        elif key == "weight_bits":
-            default, note = (1,) * kwargs["n_bits"], "default: all ones"
-        elif key == "unit_scale":
-            note = "default: packaged calibration"
-        provenance.append(f"{key} = {_show(default)} ({note})")
-        return default
-
     records = {}
     for name, cls, keys in _RECORDS:
-        kwargs = {}
-        for key in keys:
-            kwargs[key] = take(cls, key, kwargs)
+        given = {key: _convert(key, data[key]) for key in keys if key in data}
         if cls is MultiplierSpec:
-            kwargs["v_a0"] = records["cell"].v_a0
-        records[name] = cls(**kwargs)
+            given["v_a0"] = records["cell"].v_a0
+        records[name] = record = cls(**given)
+        for key in (k for k in keys if k not in given):
+            note = _DEFAULT_NOTES.get(key, "default")
+            if key == "v_t":
+                note = f"default: kT/q at {_show(record.temperature)} K"
+            provenance.append(f"{key} = {_show(getattr(record, key))} ({note})")
     return ResolvedConfig(**records, provenance=tuple(provenance), source=source)
 
 

@@ -11,38 +11,10 @@ Three constraints bound a workable design:
    excess margin epsilon: 3 * sqrt(s1 * a_n + s2 * b_n) <= rhs0 / epsilon,
    with scale-free terms a_n, b_n and the unit scale (s1, s2).
 
-Constraints 1 and 2 depend on neither epsilon nor the unit scale, and 3 has
-a closed form in epsilon at each grid point: the critical excess margin
-rhs0 / (3 * sqrt(s1 * a_n + s2 * b_n)). In each current column that margin
-is largest at the front, the smallest c1 & c2 capacitance, so one
-(MAX_BITS_CAP, columns) table of front margins per unit scale answers every
-question at that scale. Its row max eps_crit(n) (0 where n has no c1 & c2
-point) says n is feasible at epsilon iff eps_crit(n) >= epsilon;
-max_bits(epsilon) counts the entries >= epsilon and drops to b at
-eps_crit(b + 1). The optimum is the last column whose front reaches
-epsilon, at its front, exactly the point optimal_point picks from the full
-region, so every calibration target reads the one table and no candidate
-scale builds a region. Scaling (s1, s2) by m scales eps_crit by m**-0.5, so
-calibration reads the magnitude window of each candidate ray off the
-profile at m = 1.
-
-Each constraint is monotone along one grid axis, so it is kept as a
-boundary and never evaluated over the whole grid:
-
-- c1 is a suffix in C (one row index): c_grid is strictly increasing.
-- c2 at n is a per-row threshold in i: the detector margin is i times
-  positive per-row constants, each a correctly rounded op, so it is
-  non-decreasing along a row, and 2**-n scales it exactly.
-- c3 at (n, epsilon) is a per-column prefix in C: a_n and b_n are
-  non-decreasing in C at a fixed current, so the critical margin is
-  non-increasing down a column.
-
-Boundaries are found by bisection vectorized over all rows or columns, with
-array ufuncs on contiguous gathered vectors, never numpy scalars: numpy's
-scalar exp/power can differ from its SIMD loops in the last ulp, and the
-boundaries must sit exactly where the full-grid masks change. Region masks
-are built by broadcasting against the boundaries; nothing else holds a
-(rows, columns) array. Grid evaluation is vectorized and deterministic.
+_ConstraintTables holds them over one grid as boundaries, never as
+full-grid evaluations, and says why each boundary is exact. Its per-column
+critical margins answer every max_bits, feasibility and optimum question at
+a unit scale, so calibration builds no region.
 """
 
 from __future__ import annotations
@@ -57,7 +29,7 @@ import numpy as np
 from .cell import init_validity_min_cstar
 from .errors import CalibrationError, FieldValidationError, InfeasibleRegionError
 from .jitter import require_calibrated
-from .params import CellDesign, JitterFit, TechnologyProfile
+from .params import MAX_BITS_CAP, CellDesign, JitterFit, TechnologyProfile, require_bit_count
 
 #: Fraction of the fastest cell's maximum referential delay granted to jitter.
 JITTER_MARGIN_FRACTION = 0.4
@@ -70,7 +42,6 @@ MIN_GRID_POINTS = 16
 #: Largest points per axis default_grids builds: a 4096**2 region CSV is
 #: about 0.9 GB, and its masks take 16.8 MB each.
 MAX_GRID_POINTS = 4096
-MAX_BITS_CAP = 48
 
 #: Excess margins from here up count as never reaching a bit count.
 _EPSILON_REACH_LIMIT = 2.0**29
@@ -201,10 +172,11 @@ class _ConstraintTables:
       constants, each step a correctly rounded op, so every row is
       non-decreasing in i; and 2**-n scales it exactly.
     - c3 at (n, epsilon) is a per-column prefix in C, the rows before the
-      column's end. The jitter terms a_n = k1 * C / i_slow**p1 and
-      b_n = k2 * (C / i_slow)**q2 (i_slow = i_star_fastest * 2**-n) are
-      non-decreasing in C at a fixed current, so the critical margin is
-      non-increasing down each column.
+      column's end. It holds iff epsilon is at most the critical margin
+      rhs0 / (3 * sqrt(s1 * a_n + s2 * b_n)). The jitter terms
+      a_n = k1 * C / i_slow**p1 and b_n = k2 * (C / i_slow)**q2
+      (i_slow = i_star_fastest * 2**-n) are non-decreasing in C at a fixed
+      current, so the critical margin is non-increasing down each column.
 
     A bisection vectorized over all rows or columns at once finds each
     boundary. It evaluates the constraint formulas with array ufuncs on
@@ -213,15 +185,20 @@ class _ConstraintTables:
     exactly where the mask evaluated over the whole grid changes.
 
     The jitter terms do not depend on the unit scale, so candidate scales
-    during calibration only recombine stored terms. In each current column
-    the front, the smallest c1 & c2 capacitance, has the largest critical
-    margin: the column table keeps only the front per column and bit count,
-    read off the running minimum of the per-row c2 starts, and every
-    calibration target reads it. A column has a feasible point iff its
-    front is feasible, and the front is then its smallest feasible C, so
-    optimum() is exactly optimal_point of the full region. Both terms also
-    grow with n and the c1 & c2 sets nest, so eps_crit is non-increasing in
-    n.
+    during calibration only recombine stored terms, and scaling (s1, s2) by
+    m scales every critical margin by m**-0.5: calibration reads the
+    magnitude window of each candidate ray off the profile at m = 1. In
+    each current column the front, the smallest c1 & c2 capacitance, has
+    the largest critical margin: the column table keeps only the front per
+    column and bit count, read off the running minimum of the per-row c2
+    starts, and every calibration target reads it. A column has a feasible
+    point iff its front is feasible, and the front is then its smallest
+    feasible C, so optimum() is exactly optimal_point of the full region.
+    The table's row max eps_crit(n), 0 where n has no c1 & c2 point, says n
+    is feasible at epsilon iff eps_crit(n) >= epsilon. Both terms grow with
+    n and the c1 & c2 sets nest, so eps_crit is non-increasing in n, and
+    max_bits(epsilon), the count of entries >= epsilon, drops to b at
+    eps_crit(b + 1).
     """
 
     def __init__(
@@ -370,8 +347,7 @@ def constraint_region(
     epsilon: float = 1.0,
 ) -> DesignRegion:
     """Evaluate all three constraints for an n-bit multiplier over the grid."""
-    if n < 1:
-        raise FieldValidationError("n", "bit count must be >= 1")
+    require_bit_count(n, "n")
     _validate_epsilon(epsilon)
     scale = require_calibrated(fit)
     tables = _ConstraintTables(c_grid, i_grid, cell, tech, fit)

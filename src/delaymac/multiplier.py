@@ -10,8 +10,9 @@ contributed referential delay exactly.
 simulate_chain is the one engine behind every path: the transfer over the
 whole (stage, bit) array in closed form, each stage's set bits summed in
 increasing i before its sign is applied, and event times and the chain total
-as cumulative sums over stages. simulate_multiply is its one-stage case,
-simulate_dot_product its trial 0 and a transfer_sweep row one stage of trial 0.
+as cumulative sums over stages. Every other view is one call of it:
+simulate_multiply is its one-stage case, differential_multiply a two-stage
+chain read stage by stage, and a transfer_sweep row one stage of trial 0.
 
 Jitter needs a fit and a seed; without either, every trial is the
 deterministic total. The stream is one Generator(PCG64(seed)) per
@@ -95,8 +96,8 @@ class ChainResult:
     def trace(self, weights: Sequence[int], v_as: Sequence[float]) -> List[StageTrace]:
         """Trial 0 stage by stage, given the weights and inputs the chain ran on.
 
-        simulate_dot_product returns this; the CLI writes its trace straight
-        from the arrays instead.
+        The reference view of the per-stage arrays; the CLI writes its trace
+        straight from the arrays instead.
         """
         events = [ReferentialEvent(*pair) for pair in self.events.tolist()]
         return [
@@ -231,48 +232,6 @@ def simulate_multiply(
     )
 
 
-def simulate_dot_product(
-    weights: Sequence[int],
-    v_as: Sequence[float],
-    template: MultiplierSpec,
-    cell: CellDesign,
-    tech: TechnologyProfile,
-    model: str = "ideal",
-    fit: Optional[JitterFit] = None,
-    seed: Optional[int] = None,
-    pair_factor: int = 1,
-    ev_in: ReferentialEvent = ReferentialEvent(),
-) -> Tuple[float, List[StageTrace]]:
-    """Trial 0 of a MAC chain: its total referential delay and per-stage trace.
-
-    The total equals dot_product_trials(...)[0].
-    """
-    run = simulate_chain(
-        weights, v_as, template, cell, tech,
-        model=model, fit=fit, seed=seed, pair_factor=pair_factor, ev_in=ev_in,
-    )
-    return float(run.deltas[0]), run.trace(weights, v_as)
-
-
-def dot_product_trials(
-    weights: Sequence[int],
-    v_as: Sequence[float],
-    template: MultiplierSpec,
-    cell: CellDesign,
-    tech: TechnologyProfile,
-    model: str = "ideal",
-    fit: Optional[JitterFit] = None,
-    seed: Optional[int] = 0,
-    trials: int = 1,
-    pair_factor: int = 1,
-) -> np.ndarray:
-    """Monte-Carlo repetitions of a MAC chain, one total delay per trial."""
-    return simulate_chain(
-        weights, v_as, template, cell, tech,
-        model=model, fit=fit, seed=seed, trials=trials, pair_factor=pair_factor,
-    ).deltas
-
-
 def differential_multiply(
     spec: MultiplierSpec,
     v_a: float,
@@ -286,9 +245,10 @@ def differential_multiply(
     per-cell transfer (the injected quadratic in particular) cancels exactly
     and the output is odd in v_a.
     """
-    ev = ReferentialEvent()
-    plus = simulate_multiply(ev, spec, spec.v_a0 + v_a, cell, tech, distortion_alpha=distortion_alpha).delta_t
-    minus = simulate_multiply(ev, spec, spec.v_a0 - v_a, cell, tech, distortion_alpha=distortion_alpha).delta_t
+    weight = spec.sign * spec.weight_value
+    plus, minus = simulate_chain(
+        [weight, weight], [spec.v_a0 + v_a, spec.v_a0 - v_a], spec, cell, tech, distortion_alpha=distortion_alpha,
+    ).stage_deltas.tolist()
     return 0.5 * (plus - minus)
 
 

@@ -21,6 +21,11 @@ ELEMENTARY_CHARGE_C = 1.602176634e-19
 #: delays; simulations warn (but do not fail) below it.
 INPUT_FLOOR_V = 0.075
 
+#: Largest bit count of a multiplier or a feasibility sweep: every weight
+#: then fits in an int64, and the slowest current, 2**-n times the fastest,
+#: stays a normal float.
+MAX_BITS_CAP = 48
+
 
 def thermal_voltage(temperature_k: float) -> float:
     """kT/q in volts."""
@@ -35,6 +40,16 @@ def _require(cond: bool, fieldname: str, message: str) -> None:
 def _require_finite(record, *names: str) -> None:
     for name in names:
         _require(math.isfinite(getattr(record, name)), name, "must be finite")
+
+
+def require_bit_count(n_bits, fieldname: str = "n_bits") -> None:
+    """Raise FieldValidationError naming fieldname unless n_bits is an
+    integer in 1..MAX_BITS_CAP; callers check before sizing anything by it."""
+    _require(
+        isinstance(n_bits, int) and 1 <= n_bits <= MAX_BITS_CAP,
+        fieldname,
+        f"must be an integer from 1 to {MAX_BITS_CAP} (got {n_bits!r})",
+    )
 
 
 @dataclass(frozen=True)
@@ -120,19 +135,20 @@ class MultiplierSpec:
     """Signed n-bit multiplier: weight bits, sign relay and current scaling.
 
     Bit 0 is the fastest cell; bit i runs at i_star_fastest / 2**i and
-    contributes 2**i times the unit referential delay.
+    contributes 2**i times the unit referential delay. weight_bits defaults
+    to all n_bits bits set.
     """
 
     n_bits: int = 5
     sign: int = 1
-    weight_bits: Tuple[int, ...] = (1, 1, 1, 1, 1)
+    weight_bits: Optional[Tuple[int, ...]] = None
     i_star_fastest: float = 1e-6
     v_a0: float = 0.75
 
     def __post_init__(self):
-        _require(isinstance(self.n_bits, int) and self.n_bits >= 1, "n_bits", "must be an integer >= 1")
+        require_bit_count(self.n_bits)
         _require(self.sign in (1, -1), "sign", "must be +1 or -1")
-        bits = tuple(int(b) for b in self.weight_bits)
+        bits = (1,) * self.n_bits if self.weight_bits is None else tuple(int(b) for b in self.weight_bits)
         object.__setattr__(self, "weight_bits", bits)
         _require(len(bits) == self.n_bits, "weight_bits", f"must have length n_bits={self.n_bits}")
         _require(all(b in (0, 1) for b in bits), "weight_bits", "entries must be 0 or 1")
@@ -160,6 +176,7 @@ class MultiplierSpec:
         v_a0: float = 0.75,
     ) -> "MultiplierSpec":
         """Build a spec from a signed integer weight, |weight| < 2**n_bits."""
+        require_bit_count(n_bits)
         mag = abs(weight)
         require_weight_fits(mag, n_bits)
         sign = -1 if weight < 0 else 1

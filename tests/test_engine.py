@@ -32,12 +32,13 @@ def read_trials(path):
 
 @pytest.mark.parametrize("pair_factor", [1, 2])
 def test_trial_zero_is_the_traced_chain(cell, tech, fit, spec31, pair_factor):
-    trials = mu.dot_product_trials(
+    trials = mu.simulate_chain(
         WEIGHTS, V_AS, spec31, cell, tech, fit=fit, seed=5, trials=300, pair_factor=pair_factor
-    )
-    total, trace = mu.simulate_dot_product(
+    ).deltas
+    chain = mu.simulate_chain(
         WEIGHTS, V_AS, spec31, cell, tech, fit=fit, seed=5, pair_factor=pair_factor
     )
+    total, trace = chain.deltas[0], chain.trace(WEIGHTS, V_AS)
     assert trials[0] == total
     assert sum(s.delta_t for s in trace) == pytest.approx(total, rel=1e-12, abs=0)
     assert len(set(trials.tolist())) == 300
@@ -46,10 +47,10 @@ def test_trial_zero_is_the_traced_chain(cell, tech, fit, spec31, pair_factor):
 @pytest.mark.parametrize("pair_factor", [1, 2])
 def test_block_size_changes_no_value(cell, tech, fit, spec31, monkeypatch, pair_factor):
     kw = dict(fit=fit, seed=17, trials=50, pair_factor=pair_factor)
-    default = mu.dot_product_trials(WEIGHTS, V_AS, spec31, cell, tech, **kw)
+    default = mu.simulate_chain(WEIGHTS, V_AS, spec31, cell, tech, **kw).deltas
     for block in (7, 2**20):
         monkeypatch.setattr(mu, "JITTER_BLOCK_DRAWS", block)
-        assert np.array_equal(mu.dot_product_trials(WEIGHTS, V_AS, spec31, cell, tech, **kw), default)
+        assert np.array_equal(mu.simulate_chain(WEIGHTS, V_AS, spec31, cell, tech, **kw).deltas, default)
 
 
 @pytest.mark.parametrize("pair_factor, want", [(1, -1.683338933094502e-09), (2, -1.6998181762563582e-09)])
@@ -131,13 +132,13 @@ def traversed_sigmas(weights, spec, cell, fit, pair_factor):
 @pytest.mark.parametrize("pair_factor", [1, 2])
 def test_later_trials_are_one_normal_each(cell, tech, fit, spec31, pair_factor):
     trials, seed = 200, 23
-    got = mu.dot_product_trials(
+    got = mu.simulate_chain(
         WEIGHTS, V_AS, spec31, cell, tech, fit=fit, seed=seed, trials=trials, pair_factor=pair_factor
-    )
+    ).deltas
     w = traversed_sigmas(WEIGHTS, spec31, cell, fit, pair_factor)
     rng = np.random.Generator(np.random.PCG64(seed))
     rng.standard_normal(len(w))  # trial 0's per-cell normals
-    quiet = mu.dot_product_trials(WEIGHTS, V_AS, spec31, cell, tech, trials=1)[0]
+    quiet = mu.simulate_chain(WEIGHTS, V_AS, spec31, cell, tech, trials=1).deltas[0]
     scale = math.sqrt(math.fsum(x * x for x in w))
     want = quiet + scale * rng.standard_normal(trials - 1)
     np.testing.assert_allclose(got[1:], want, rtol=0, atol=1e-12 * scale)
@@ -145,9 +146,9 @@ def test_later_trials_are_one_normal_each(cell, tech, fit, spec31, pair_factor):
 
 @pytest.mark.parametrize("pair_factor", [1, 2])
 def test_mixed_sign_chain_variance(cell, tech, fit, spec31, pair_factor):
-    deltas = mu.dot_product_trials(
+    deltas = mu.simulate_chain(
         WEIGHTS, V_AS, spec31, cell, tech, fit=fit, seed=31, trials=100_000, pair_factor=pair_factor
-    )
+    ).deltas
     want = sum(
         total_jitter(cell.with_current(spec31.bit_current(i)), fit, pair_factor=pair_factor).sigma_total ** 2
         for w in WEIGHTS for i in range(spec31.n_bits) if abs(w) >> i & 1
@@ -167,6 +168,5 @@ def test_fit_without_seed_draws_no_jitter(cell, tech, fit, spec31, model):
     quiet = mu.simulate_chain(WEIGHTS, V_AS, spec31, cell, tech, model=model)
     kw = dict(model=model, fit=fit, seed=None, trials=40)
     run = mu.simulate_chain(WEIGHTS, V_AS, spec31, cell, tech, **kw)
-    trials = mu.dot_product_trials(WEIGHTS, V_AS, spec31, cell, tech, **kw)
-    assert run.deltas.tolist() == trials.tolist() == [quiet.deltas[0]] * 40
+    assert run.deltas.tolist() == [quiet.deltas[0]] * 40
     assert run.stage_deltas.tolist() == quiet.stage_deltas.tolist()

@@ -105,9 +105,9 @@ class TestJitterAccumulation:
     def test_variance_matches_traversed_cells(self, cell, tech, fit):
         spec = MultiplierSpec.from_weight(31, 5)
         trials = 100_000
-        deltas = mu.dot_product_trials(
+        deltas = mu.simulate_chain(
             [31], [1.0], spec, cell, tech, fit=fit, seed=2024, trials=trials
-        )
+        ).deltas
         expected_var = sum(
             total_jitter(cell.with_current(spec.bit_current(i)), fit).var_sd
             + total_jitter(cell.with_current(spec.bit_current(i)), fit).var_td
@@ -119,70 +119,73 @@ class TestJitterAccumulation:
     def test_pair_factor_doubles_variance(self, cell, tech, fit):
         spec = MultiplierSpec.from_weight(1, 5)
         trials = 100_000
-        single = mu.dot_product_trials(
+        single = mu.simulate_chain(
             [1], [1.0], spec, cell, tech, fit=fit, seed=1, trials=trials, pair_factor=1
-        )
-        double = mu.dot_product_trials(
+        ).deltas
+        double = mu.simulate_chain(
             [1], [1.0], spec, cell, tech, fit=fit, seed=1, trials=trials, pair_factor=2
-        )
+        ).deltas
         assert np.var(double, ddof=1) == pytest.approx(2 * np.var(single, ddof=1), rel=0.1, abs=0)
 
     def test_single_set_bit_variance(self, cell, tech, fit):
         spec = MultiplierSpec.from_weight(0b10000, 5)
         trials = 100_000
-        deltas = mu.dot_product_trials(
+        deltas = mu.simulate_chain(
             [16], [1.0], spec, cell, tech, fit=fit, seed=5, trials=trials
-        )
+        ).deltas
         slow = cell.with_current(spec.bit_current(4))
         model = total_jitter(slow, fit)
         assert np.var(deltas, ddof=1) == pytest.approx(model.var_sd + model.var_td, rel=0.05, abs=0)
 
     def test_no_fit_means_deterministic_trials(self, cell, tech, spec31):
-        deltas = mu.dot_product_trials([7], [1.0], spec31, cell, tech, trials=100)
+        deltas = mu.simulate_chain([7], [1.0], spec31, cell, tech, trials=100).deltas
         assert np.all(deltas == deltas[0])
 
     def test_trials_reproducible(self, cell, tech, fit, spec31):
-        a = mu.dot_product_trials([7], [1.0], spec31, cell, tech, fit=fit, seed=9, trials=512)
-        b = mu.dot_product_trials([7], [1.0], spec31, cell, tech, fit=fit, seed=9, trials=512)
+        a = mu.simulate_chain([7], [1.0], spec31, cell, tech, fit=fit, seed=9, trials=512).deltas
+        b = mu.simulate_chain([7], [1.0], spec31, cell, tech, fit=fit, seed=9, trials=512).deltas
         assert np.array_equal(a, b)
 
 
 class TestDotProduct:
     def test_hand_summed_oracle(self, cell, tech, spec31):
-        total, trace = mu.simulate_dot_product([3, -2], [1.0, 0.9], spec31, cell, tech)
+        chain = mu.simulate_chain([3, -2], [1.0, 0.9], spec31, cell, tech)
+        total, trace = chain.deltas[0], chain.trace([3, -2], [1.0, 0.9])
         assert total == pytest.approx(-1.035e-10, rel=1e-12, abs=0)
         assert len(trace) == 2
         assert trace[0].delta_t == pytest.approx(ideal_delta(3, 1.0), rel=1e-12, abs=0)
         assert trace[1].delta_t == pytest.approx(ideal_delta(-2, 0.9), rel=1e-12, abs=0)
 
     def test_all_zero_weights(self, cell, tech, spec31):
-        total, _ = mu.simulate_dot_product([0, 0, 0], [1.0, 0.8, 0.3], spec31, cell, tech)
+        total = mu.simulate_chain([0, 0, 0], [1.0, 0.8, 0.3], spec31, cell, tech).deltas[0]
         assert total == 0.0
 
     def test_permutation_invariance(self, cell, tech, spec31):
         pairs = [(3, 1.0), (-2, 0.9), (7, 0.4)]
-        a, _ = mu.simulate_dot_product(*zip(*pairs), spec31, cell, tech)
-        b, _ = mu.simulate_dot_product(*zip(*reversed(pairs)), spec31, cell, tech)
+        a = mu.simulate_chain(*zip(*pairs), spec31, cell, tech).deltas[0]
+        b = mu.simulate_chain(*zip(*reversed(pairs)), spec31, cell, tech).deltas[0]
         assert a == pytest.approx(b, rel=1e-12, abs=0)
 
     def test_chained_events(self, cell, tech, spec31):
-        total, trace = mu.simulate_dot_product([1, 1], [1.0, 1.0], spec31, cell, tech)
+        chain = mu.simulate_chain([1, 1], [1.0, 1.0], spec31, cell, tech)
+        total, trace = chain.deltas[0], chain.trace([1, 1], [1.0, 1.0])
         assert trace[1].event_in == trace[0].event_out
         assert trace[-1].event_out.referential_delay == pytest.approx(total, rel=1e-9, abs=0)
 
     def test_weight_overflow(self, cell, tech, spec31):
         with pytest.raises(OverflowError):
-            mu.simulate_dot_product([32], [1.0], spec31, cell, tech)
+            mu.simulate_chain([32], [1.0], spec31, cell, tech)
         with pytest.raises(OverflowError):
-            mu.simulate_dot_product([-32], [1.0], spec31, cell, tech)
+            mu.simulate_chain([-32], [1.0], spec31, cell, tech)
 
     def test_length_mismatch(self, cell, tech, spec31):
         with pytest.raises(ValueError):
-            mu.simulate_dot_product([1, 2], [1.0], spec31, cell, tech)
+            mu.simulate_chain([1, 2], [1.0], spec31, cell, tech)
 
     def test_trace_determinism(self, cell, tech, fit, spec31):
-        a = mu.simulate_dot_product([3, -2], [1.0, 0.9], spec31, cell, tech, fit=fit, seed=77)
-        b = mu.simulate_dot_product([3, -2], [1.0, 0.9], spec31, cell, tech, fit=fit, seed=77)
+        a = mu.simulate_chain([3, -2], [1.0, 0.9], spec31, cell, tech, fit=fit, seed=77)
+        b = mu.simulate_chain([3, -2], [1.0, 0.9], spec31, cell, tech, fit=fit, seed=77)
+        a, b = ((run.deltas[0], run.trace([3, -2], [1.0, 0.9])) for run in (a, b))
         assert a == b
 
 
