@@ -71,8 +71,15 @@ def secondary_bias_widths(i: int, w_max: float, mode: str = "shrinking") -> floa
 
 
 def bias_current(v_ref: float, tech: TechnologyProfile) -> float:
-    """Subthreshold diode-law current i_0 * exp((v_ref - v_thn) / (m v_t))."""
-    return tech.i_0 * math.exp((v_ref - tech.v_thn) / (DEFAULT_SLOPE_FACTOR * tech.v_t))
+    """Subthreshold diode-law current i_0 * exp((v_ref - v_thn) / (m v_t)).
+
+    Raises RegimeError above the subthreshold ceiling, the only regime the
+    network is designed for, comparing exponents so that exp cannot overflow.
+    """
+    exponent = (v_ref - tech.v_thn) / (DEFAULT_SLOPE_FACTOR * tech.v_t)
+    if exponent > math.log(SUBTHRESHOLD_CEILING_A / tech.i_0):
+        raise RegimeError(f"v_ref={v_ref:.4g} V drives i_bias above the subthreshold ceiling {SUBTHRESHOLD_CEILING_A:.4g} A")
+    return tech.i_0 * math.exp(exponent)
 
 
 def v_ref_for_current(i_bias: float, tech: TechnologyProfile) -> float:
@@ -83,20 +90,10 @@ def v_ref_for_current(i_bias: float, tech: TechnologyProfile) -> float:
 
 
 def branch_currents(v_ref: float, n: int, tech: TechnologyProfile) -> np.ndarray:
-    """Ideal mirrored currents [i_bias / 2**i for i in range(n)].
-
-    Raises RegimeError when the diode law puts i_bias above the subthreshold
-    ceiling; the network is only designed for that regime.
-    """
+    """Ideal mirrored currents [bias_current / 2**i for i in range(n)]."""
     if n < 1:
         raise FieldValidationError("n", "must be >= 1")
-    i_bias = bias_current(v_ref, tech)
-    if i_bias > SUBTHRESHOLD_CEILING_A:
-        raise RegimeError(
-            f"i_bias={i_bias:.4g} A exceeds the subthreshold ceiling {SUBTHRESHOLD_CEILING_A:.4g} A; "
-            "lower v_ref"
-        )
-    return i_bias / 2.0 ** np.arange(n)
+    return bias_current(v_ref, tech) / 2.0 ** np.arange(n)
 
 
 @dataclass(frozen=True)

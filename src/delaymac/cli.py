@@ -14,7 +14,8 @@ A run that wrote outputs (exit 0, or region's exit 2) also writes
 write order and tool version. An exit 1 or a failed calibrate writes no
 manifest. Exit codes: 0 success, 1 usage/config error, 2 domain
 infeasibility (empty region, failed calibration). Every input error, usage
-errors included, prints one "error:" line, exits 1 and writes no file.
+errors included, prints one "error:" line, exits 1 and writes no file; an
+unreadable or malformed --config, --targets or calibration.json names the file.
 
 simulate writes its trial CSV and its trace (--trials 1) from the engine's
 arrays, each value formatted once, in the bytes csv.writer and
@@ -26,7 +27,9 @@ before anything is allocated; each subcommand's --help gives its cap.
 A bit count, region's and energy's --bits or a config's n_bits, must be 1
 to 48 and is checked before anything is sized by it; bias --bits must be 1
 to 8. Out of range is an input error: region --bits 49 and up exits 1, not
-2, and energy --bits 49 and up exits 1 instead of running.
+2, and energy --bits 49 and up exits 1 instead of running. bias takes at
+most one of --vref and --ibias, and a --vref above the subthreshold ceiling
+exits 1.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ import numpy as np
 
 from . import __version__
 from .bias import bias_plan, v_ref_for_current
-from .config import ResolvedConfig, default_config, load_config
+from .config import ResolvedConfig, default_config, load_config, read_json
 from .design_space import (
     DEFAULT_C_SPAN,
     DEFAULT_CALIBRATION_TARGETS,
@@ -60,7 +63,7 @@ from .design_space import (
     max_bits_curve,
 )
 from .energy import mac_energy
-from .errors import CalibrationError, ConfigError, DelaymacError, FieldValidationError
+from .errors import CalibrationError, DelaymacError
 from .multiplier import ChainResult, MultiplierSpec, simulate_chain
 from .params import MAX_BITS_CAP, JitterFit, require_bit_count
 from .units import coerce_quantity, format_number
@@ -119,14 +122,11 @@ def _overlay_calibration(fit: JitterFit) -> JitterFit:
     path = config_dir() / CALIBRATION_FILENAME
     if not path.is_file():
         return fit
-    try:
-        data = json.loads(path.read_text())
-        scale = data.get("unit_scale") if isinstance(data, dict) else None
-        if not isinstance(scale, list):
-            raise ValueError(f"unit_scale must be an [s1, s2] list (got {scale!r})")
-        return fit.with_unit_scale(scale)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed calibration file {path}: {exc}") from exc
+
+    def overlay(data) -> JitterFit:
+        return fit.with_unit_scale(data.get("unit_scale") if isinstance(data, dict) else None)
+
+    return read_json(path, overlay)
 
 
 def _resolve_config(args) -> ResolvedConfig:
@@ -389,10 +389,7 @@ def cmd_calibrate(args, run: Run) -> int:
     cfg = run.cfg
     targets = list(DEFAULT_CALIBRATION_TARGETS)
     if args.targets:
-        try:
-            targets = json.loads(Path(args.targets).read_text())
-        except ValueError as exc:
-            raise FieldValidationError("targets", f"malformed JSON in {args.targets}: {exc}") from exc
+        targets = read_json(args.targets)
     c_grid, i_grid = _grids(args)
     try:
         result = calibrate_units(targets, cfg.fit, cfg.tech, cfg.cell, c_grid=c_grid, i_grid=i_grid)
@@ -450,8 +447,9 @@ def build_parser() -> _Parser:
 
     p = add("bias", cmd_bias, "bias-network sizing, currents and gate voltages")
     p.add_argument("--bits", type=int, required=True, help="bit count, 1 to 8")
-    p.add_argument("--vref", default=None, help="reference voltage (suffixed quantity)")
-    p.add_argument("--ibias", default=None, help="target fastest-cell current (suffixed quantity)")
+    reference = p.add_mutually_exclusive_group()
+    reference.add_argument("--vref", default=None, help="reference voltage (suffixed quantity)")
+    reference.add_argument("--ibias", default=None, help="target fastest-cell current (suffixed quantity)")
     p.add_argument("--out", required=True)
 
     p = add("calibrate", cmd_calibrate, "resolve the jitter-fit unit scale and persist it")

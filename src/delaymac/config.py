@@ -4,6 +4,8 @@ One flat JSON object configures all four parameter records. Keys mirror the
 record field names; values are plain numbers or suffixed strings ("2.2f").
 Unknown keys are rejected so typos cannot silently fall back to defaults.
 Every key the file did not set is reported in the provenance log.
+This module converts file formats and the records check fields: read_json
+reads every JSON input file and _convert parses suffixed strings.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import Any, Callable, List, Optional, Tuple, Union
 
 from .errors import ConfigError, FieldValidationError, QuantityError
 from .params import CellDesign, JitterFit, MultiplierSpec, TechnologyProfile
@@ -67,18 +69,8 @@ class ResolvedConfig:
 
 
 def _convert(key: str, value):
-    """A raw config value as its record field takes it."""
-    if key in ("n_bits", "sign"):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise FieldValidationError(key, f"must be an integer (got {value!r})")
-        return value
-    if key == "weight_bits":
-        if not isinstance(value, (list, tuple)):
-            raise FieldValidationError(key, "must be a list of 0/1")
-        return tuple(value)
-    if key == "unit_scale":
-        if value is not None and (not isinstance(value, (list, tuple)) or len(value) != 2):
-            raise FieldValidationError(key, "must be null or a [s1, s2] pair")
+    """A suffixed string as its SI float; any other JSON value as it is."""
+    if not isinstance(value, str):
         return value
     try:
         return coerce_quantity(value)
@@ -119,23 +111,23 @@ def resolve_config(data: dict, source: Optional[str] = None) -> ResolvedConfig:
     return ResolvedConfig(**records, provenance=tuple(provenance), source=source)
 
 
+def read_json(path: Union[str, Path], parse: Callable[[Any], Any] = lambda data: data):
+    """parse(the JSON value in the file at path). Any OSError or ValueError,
+    from parse too, or too deep a nesting becomes one ConfigError naming the file."""
+    try:
+        return parse(json.loads(Path(path).read_text(encoding="utf-8")))
+    except (OSError, RecursionError, ValueError) as exc:
+        raise ConfigError(f"malformed or unreadable file {path}: {exc}") from exc
+
+
 def load_config(path: Union[str, Path]) -> ResolvedConfig:
     """Load and validate a JSON config file.
 
-    Raises ConfigError for malformed JSON or unknown keys and
-    FieldValidationError (naming the offending field) for invariant
+    Raises ConfigError for an unreadable or malformed file or unknown keys
+    and FieldValidationError (naming the offending field) for invariant
     violations.
     """
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
-    return resolve_config(data, source=str(path))
+    return resolve_config(read_json(path), source=str(Path(path)))
 
 
 def default_config() -> ResolvedConfig:

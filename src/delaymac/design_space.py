@@ -29,7 +29,7 @@ import numpy as np
 from .cell import init_validity_min_cstar
 from .errors import CalibrationError, FieldValidationError, InfeasibleRegionError
 from .jitter import require_calibrated
-from .params import MAX_BITS_CAP, CellDesign, JitterFit, TechnologyProfile, require_bit_count
+from .params import MAX_BITS_CAP, CellDesign, JitterFit, TechnologyProfile, is_finite_number, require_bit_count
 
 #: Fraction of the fastest cell's maximum referential delay granted to jitter.
 JITTER_MARGIN_FRACTION = 0.4
@@ -155,6 +155,18 @@ def _first_true(pred, size: int, lanes: int) -> np.ndarray:
         ok = pred(np.minimum(mid, size - 1))
         hi = np.where(open_ & ok, mid, hi)
         lo = np.where(open_ & ~ok, mid + 1, lo)
+
+
+def _gallop(pred, size: int) -> int:
+    """_first_true for one lane, in about 2 * log2(k + 1) calls of pred for a
+    first true index k: it probes 0, 1, 2, 4, ... and bisects the bracket."""
+    lo, hi = 0, 0  # pred is false below lo, and true at hi if hi < size
+    while hi < size and not pred(hi):
+        lo, hi = hi + 1, min(max(1, 2 * hi), size)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if pred(mid) else (mid + 1, hi)
+    return hi
 
 
 class _ConstraintTables:
@@ -474,9 +486,7 @@ def _validate_targets(targets: Sequence[dict]) -> None:
                 continue
             lo, hi = _TARGET_RANGES.get(key, (0.0, math.inf))
             integral = key in ("n", "bits")
-            number = isinstance(value, (int, float)) and not isinstance(value, bool)
-            finite = number and abs(value) <= sys.float_info.max  # exact for ints of any size
-            if not (finite and lo <= value <= hi) or (integral and value != int(value)):
+            if not (is_finite_number(value) and lo <= value <= hi) or (integral and value != int(value)):
                 what = "an integer" if integral else "a number"
                 raise FieldValidationError(key, f"must be {what} in [{lo:g}, {hi:g}] (calibration target {t!r})")
 
@@ -540,12 +550,19 @@ def _anchor_interval(tables, targets, scale_of) -> Optional[Tuple[float, float]]
         return None
     lo = float(np.nextafter((crit[bits] / eps) ** 2, math.inf))
     hi = float((crit[bits - 1] / eps) ** 2)
-    # scale_of and the profile round, so an edge can land an ulp outside
-    while lo <= hi and tables.max_bits(eps, scale_of(lo)) > bits:
-        lo = float(np.nextafter(lo, math.inf))
-    while lo <= hi and tables.max_bits(eps, scale_of(hi)) < bits:
-        hi = float(np.nextafter(hi, 0.0))
-    return (lo, hi) if lo <= hi else None
+    if not lo <= hi:
+        return None
+    # scale_of and the profile round, so an edge can land ulps outside: move
+    # each edge in to where the target holds, galloping over ulp offsets (the
+    # int64 bit patterns order positive floats), as max_bits falls with m
+    lo, hi = np.array([lo, hi]).view(np.int64).tolist()
+
+    def max_bits_at(ulps: int) -> int:
+        return tables.max_bits(eps, scale_of(float(np.int64(ulps).view(np.float64))))
+
+    lo += _gallop(lambda k: max_bits_at(lo + k) <= bits, hi - lo + 1)
+    hi -= _gallop(lambda k: max_bits_at(hi - k) >= bits, hi - lo + 1)
+    return tuple(np.array([lo, hi]).view(np.float64).tolist()) if lo <= hi else None
 
 
 def calibrate_units(

@@ -7,7 +7,7 @@ and use the characterized per-bit constants of the 5-bit reference design.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import FieldValidationError
 from .params import CellDesign, MultiplierSpec, TechnologyProfile
@@ -55,17 +55,7 @@ class EnergyBreakdown:
         return self.total / self.n_bits
 
     def to_dict(self) -> dict:
-        return {
-            "e_cstar": self.e_cstar,
-            "e_td1": self.e_td1,
-            "e_td2": self.e_td2,
-            "e_pu": self.e_pu,
-            "e_inv": self.e_inv,
-            "total": self.total,
-            "per_bit": self.per_bit,
-            "n_bits": self.n_bits,
-            "mode": self.mode,
-        }
+        return {**asdict(self), "total": self.total, "per_bit": self.per_bit}
 
 
 def cap_energy(c: float, tech: TechnologyProfile) -> float:

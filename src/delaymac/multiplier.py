@@ -23,8 +23,7 @@ cells, and it alone feeds the per-stage view. Every later trial takes one
 normal z of the same stream and is the deterministic total plus
 sqrt(sum of w**2) * z, w being the signed per-cell sigma. This is exact, not
 an approximation: the cells' jitter is independent and Gaussian, so their
-weighted sum is N(0, sum of w**2). Later trials are drawn in chunks of at
-most JITTER_BLOCK_DRAWS normals, which changes no value.
+weighted sum is N(0, sum of w**2).
 """
 
 from __future__ import annotations
@@ -42,9 +41,6 @@ from .params import INPUT_FLOOR_V, CellDesign, JitterFit, MultiplierSpec, Techno
 SeedLike = Union[int, np.random.SeedSequence]
 
 MODELS = ("ideal", "nonlinear")
-
-#: Later-trial normals drawn per chunk (1 MiB).
-JITTER_BLOCK_DRAWS = 2**17
 
 
 @dataclass(frozen=True)
@@ -187,9 +183,8 @@ def simulate_chain(
         first = rng.standard_normal(cell_weights.size)  # trial 0, kept for the per-stage view
         jitter[0] = (first * cell_weights).sum()
         scale = np.sqrt((cell_weights * cell_weights).sum())
-        for start in range(1, trials, JITTER_BLOCK_DRAWS):
-            stop = min(start + JITTER_BLOCK_DRAWS, trials)
-            jitter[start:stop] = scale * rng.standard_normal(stop - start)
+        rng.standard_normal(out=jitter[1:])
+        jitter[1:] *= scale
         j = np.zeros(bits.shape + (2,))
         j[stage, bit, :pair_factor] = sigma[bit, None] * first.reshape(-1, pair_factor)
         j_var, j_ref = j[..., 0], j[..., 1]

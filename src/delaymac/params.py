@@ -3,12 +3,17 @@ geometry and the fitted jitter constants.
 
 All records are immutable after construction and validated eagerly, so any
 instance reachable at runtime satisfies its invariants and can be shared
-across threads without synchronization. All values are SI.
+across threads without synchronization. All values are SI. Each record
+checks its own fields: a float field takes a finite number, never a bool,
+and stores it as a float; a bit count and the sign take ints.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import reprlib
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
@@ -37,16 +42,30 @@ def _require(cond: bool, fieldname: str, message: str) -> None:
         raise FieldValidationError(fieldname, message)
 
 
-def _require_finite(record, *names: str) -> None:
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_finite_number(value) -> bool:
+    """A real number, not a bool, in the float range (exact for any int)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+
+
+def _store_floats(record, *names: str, above: float = -math.inf, at_least: float = -math.inf) -> None:
+    """Store each named field as a float after one check of its type and range."""
+    bound = f" > {above:g}" if above > -math.inf else f" >= {at_least:g}" if at_least > -math.inf else ""
     for name in names:
-        _require(math.isfinite(getattr(record, name)), name, "must be finite")
+        value = getattr(record, name)
+        _require(is_finite_number(value) and value > above and value >= at_least, name,
+                 f"must be a finite number{bound} (got {reprlib.repr(value)})")
+        object.__setattr__(record, name, float(value))
 
 
 def require_bit_count(n_bits, fieldname: str = "n_bits") -> None:
     """Raise FieldValidationError naming fieldname unless n_bits is an
     integer in 1..MAX_BITS_CAP; callers check before sizing anything by it."""
     _require(
-        isinstance(n_bits, int) and 1 <= n_bits <= MAX_BITS_CAP,
+        _is_int(n_bits) and 1 <= n_bits <= MAX_BITS_CAP,
         fieldname,
         f"must be an integer from 1 to {MAX_BITS_CAP} (got {n_bits!r})",
     )
@@ -70,22 +89,20 @@ class TechnologyProfile:
     mu_wl_cox: float = 1e-4
 
     def __post_init__(self):
+        _store_floats(self, "v_dd", "v_thn", "v_thp")
+        _store_floats(self, "temperature", above=0)
         if self.v_t is None:
             object.__setattr__(self, "v_t", thermal_voltage(self.temperature))
-        _require_finite(self, "v_dd", "v_thn", "v_thp", "temperature", "v_t", "i_0", "gamma", "mu_wl_cox")
-        _require(self.temperature > 0, "temperature", "must be > 0 K")
+        _store_floats(self, "v_t", "i_0", "mu_wl_cox", above=0)
+        _store_floats(self, "gamma", at_least=1)
         _require(self.v_dd > self.v_thn > 0, "v_thn", "requires v_dd > v_thn > 0")
         _require(self.v_dd > self.v_thp > 0, "v_thp", "requires v_dd > v_thp > 0")
-        _require(self.v_t > 0, "v_t", "must be > 0")
         expected_vt = thermal_voltage(self.temperature)
         _require(
             abs(self.v_t - expected_vt) <= 1e-3 * expected_vt,
             "v_t",
             f"must equal kT/q at {self.temperature} K ({expected_vt:.6e} V) within 0.1%",
         )
-        _require(self.i_0 > 0, "i_0", "must be > 0")
-        _require(self.gamma >= 1, "gamma", "must be >= 1")
-        _require(self.mu_wl_cox > 0, "mu_wl_cox", "must be > 0")
 
 
 @dataclass(frozen=True)
@@ -106,19 +123,14 @@ class CellDesign:
     v_a0: float = 0.75
 
     def __post_init__(self):
-        _require_finite(self, "c_star", "c_s_eff", "dq_of_md", "dq_of_pd", "c_re", "i_star", "v_a0")
-        for name in ("c_star", "c_re", "i_star"):
-            _require(getattr(self, name) > 0, name, "must be > 0")
+        _store_floats(self, "c_star", "c_re", "i_star", above=0)
         # the sampling capacitance and charge offsets may degenerate to zero
-        _require(self.c_s_eff >= 0, "c_s_eff", "must be >= 0")
-        _require(self.dq_of_md >= 0, "dq_of_md", "must be >= 0")
-        _require(self.dq_of_pd >= 0, "dq_of_pd", "must be >= 0")
+        _store_floats(self, "c_s_eff", "dq_of_md", "dq_of_pd", "v_a0", at_least=0)
         _require(
             self.dq_of_pd <= self.dq_of_md,
             "dq_of_pd",
             "post-discharge offset cannot exceed the mid-discharge offset",
         )
-        _require(self.v_a0 >= 0, "v_a0", "must be >= 0")
 
     def with_current(self, i_star: float) -> "CellDesign":
         """Copy of this cell running at a different discharge current."""
@@ -135,8 +147,8 @@ class MultiplierSpec:
     """Signed n-bit multiplier: weight bits, sign relay and current scaling.
 
     Bit 0 is the fastest cell; bit i runs at i_star_fastest / 2**i and
-    contributes 2**i times the unit referential delay. weight_bits defaults
-    to all n_bits bits set.
+    contributes 2**i times the unit referential delay. weight_bits is a
+    list or tuple of 0s and 1s and defaults to all n_bits bits set.
     """
 
     n_bits: int = 5
@@ -147,14 +159,14 @@ class MultiplierSpec:
 
     def __post_init__(self):
         require_bit_count(self.n_bits)
-        _require(self.sign in (1, -1), "sign", "must be +1 or -1")
-        bits = (1,) * self.n_bits if self.weight_bits is None else tuple(int(b) for b in self.weight_bits)
-        object.__setattr__(self, "weight_bits", bits)
+        _require(_is_int(self.sign) and self.sign in (1, -1), "sign", f"must be +1 or -1 (got {self.sign!r})")
+        bits = (1,) * self.n_bits if self.weight_bits is None else self.weight_bits
+        _require(isinstance(bits, (list, tuple)) and all(b in (0, 1) and not isinstance(b, bool) for b in bits),
+                 "weight_bits", "must be a list of 0s and 1s")
         _require(len(bits) == self.n_bits, "weight_bits", f"must have length n_bits={self.n_bits}")
-        _require(all(b in (0, 1) for b in bits), "weight_bits", "entries must be 0 or 1")
-        _require_finite(self, "i_star_fastest", "v_a0")
-        _require(self.i_star_fastest > 0, "i_star_fastest", "must be > 0")
-        _require(self.v_a0 >= 0, "v_a0", "must be >= 0")
+        object.__setattr__(self, "weight_bits", tuple(map(int, bits)))
+        _store_floats(self, "i_star_fastest", above=0)
+        _store_floats(self, "v_a0", at_least=0)
 
     @property
     def weight_value(self) -> int:
@@ -218,25 +230,19 @@ class JitterFit:
     unit_scale: Optional[Tuple[float, float]] = DEFAULT_UNIT_SCALE
 
     def __post_init__(self):
-        _require_finite(self, "k1", "p1", "k2", "q2")
-        _require(self.k1 > 0, "k1", "must be > 0")
-        _require(self.k2 > 0, "k2", "must be > 0")
-        _require(self.p1 > 0, "p1", "must be > 0")
-        _require(self.q2 > 0, "q2", "must be > 0")
+        _store_floats(self, "k1", "p1", "k2", "q2", above=0)
         if self.unit_scale is not None:
-            try:
-                scale = tuple(float(s) for s in self.unit_scale)
-            except (TypeError, ValueError) as exc:
-                raise FieldValidationError(
-                    "unit_scale", f"entries must be numbers (got {self.unit_scale!r})"
-                ) from exc
-            _require(len(scale) == 2, "unit_scale", "must be a (s1, s2) pair")
-            _require(all(0 < s < math.inf for s in scale), "unit_scale", "entries must be finite and > 0")
-            object.__setattr__(self, "unit_scale", scale)
+            scale = self.unit_scale
+            pair = isinstance(scale, (list, tuple)) and len(scale) == 2
+            _require(pair and all(is_finite_number(s) and s > 0 for s in scale), "unit_scale",
+                     f"must be None or two finite numbers > 0 (got {reprlib.repr(scale)})")
+            object.__setattr__(self, "unit_scale", tuple(map(float, scale)))
 
     @property
     def calibrated(self) -> bool:
         return self.unit_scale is not None
 
     def with_unit_scale(self, unit_scale: Tuple[float, float]) -> "JitterFit":
-        return replace(self, unit_scale=tuple(unit_scale))
+        """This fit calibrated to unit_scale, which must be an (s1, s2) pair."""
+        _require(unit_scale is not None, "unit_scale", "must be an (s1, s2) pair")
+        return replace(self, unit_scale=unit_scale)

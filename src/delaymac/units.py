@@ -49,7 +49,10 @@ def coerce_quantity(value) -> float:
     if isinstance(value, bool):
         raise QuantityError("booleans are not quantities")
     if isinstance(value, (int, float)):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise QuantityError("integer too large for a float") from None
     return parse_quantity(value)
 
 

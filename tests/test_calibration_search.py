@@ -6,6 +6,7 @@ import pytest
 
 from delaymac import design_space as ds
 from delaymac.errors import CalibrationError
+from delaymac.params import JitterFit
 
 MAX_BITS_ONLY = [{"kind": "max_bits", "bits": 5}]
 
@@ -68,3 +69,36 @@ class TestCalibrateWarning:
         data = json.loads((tmp_path / "confdir" / "calibration.json").read_text())
         assert data == json.loads(captured.out)
         assert set(data) == {"unit_scale", "residual", "targets_met", "convention"}
+
+
+def test_subnormal_scale_edges_are_found_in_few_scans(cell, tech, monkeypatch):
+    # with k2 = 1e308 the second scale of every ray is subnormal, so one ulp
+    # of the magnitude changes no scale, and an ulp-by-ulp walk to the window
+    # edge would not end; the galloping search brackets it in a few scans
+    calls = []
+    max_bits = ds._ConstraintTables.max_bits
+
+    def counted(self, *args):
+        calls.append(args)
+        return max_bits(self, *args)
+
+    monkeypatch.setattr(ds._ConstraintTables, "max_bits", counted)
+    try:
+        ds.calibrate_units(ds.DEFAULT_CALIBRATION_TARGETS, JitterFit(k2=1e308), tech, cell, *ds.default_grids(16))
+    except CalibrationError:
+        pass
+    assert 0 < len(calls) <= 10_000
+
+
+def test_gallop_finds_the_first_true_index():
+    for size in range(0, 40):
+        for first in range(0, size + 1):
+            probes = []
+
+            def pred(k):
+                assert 0 <= k < size
+                probes.append(k)
+                return k >= first
+
+            assert ds._gallop(pred, size) == first
+            assert len(probes) <= 2 * size.bit_length() + 2

@@ -105,6 +105,10 @@ def test_weight_bits_validation():
         resolve_config({"n_bits": 3, "weight_bits": [1, 0]})
     with pytest.raises(FieldValidationError, match="weight_bits"):
         resolve_config({"weight_bits": [1, 0, 2, 0, 1]})
+    with pytest.raises(FieldValidationError, match="weight_bits"):
+        resolve_config({"weight_bits": [0.5, 1, 1, 1, 1]})
+    with pytest.raises(FieldValidationError, match="weight_bits"):
+        resolve_config({"weight_bits": [True, 1, 1, 1, 1]})
 
 
 def test_sign_validation():

@@ -44,15 +44,6 @@ def test_trial_zero_is_the_traced_chain(cell, tech, fit, spec31, pair_factor):
     assert len(set(trials.tolist())) == 300
 
 
-@pytest.mark.parametrize("pair_factor", [1, 2])
-def test_block_size_changes_no_value(cell, tech, fit, spec31, monkeypatch, pair_factor):
-    kw = dict(fit=fit, seed=17, trials=50, pair_factor=pair_factor)
-    default = mu.simulate_chain(WEIGHTS, V_AS, spec31, cell, tech, **kw).deltas
-    for block in (7, 2**20):
-        monkeypatch.setattr(mu, "JITTER_BLOCK_DRAWS", block)
-        assert np.array_equal(mu.simulate_chain(WEIGHTS, V_AS, spec31, cell, tech, **kw).deltas, default)
-
-
 @pytest.mark.parametrize("pair_factor, want", [(1, -1.683338933094502e-09), (2, -1.6998181762563582e-09)])
 def test_seeded_single_multiply_values(cell, tech, fit, pair_factor, want):
     spec = MultiplierSpec.from_weight(21, 5)

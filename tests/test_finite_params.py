@@ -36,10 +36,11 @@ def test_record_rejects_non_finite_field(cls, name, value):
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 @pytest.mark.parametrize("key", FLOAT_KEYS)
 def test_overflowing_config_value_fails_cleanly(fails_cleanly, tmp_path, key, command):
-    # JSON 1e309 parses to inf
+    # JSON 1e309 parses to inf, a 400-digit JSON integer to an int too large for a float
     cfg = tmp_path / "c.json"
-    cfg.write_text(f'{{"{key}": 1e309}}')
     argv = COMMANDS[command]
-    err = fails_cleanly(argv[0], "--config", cfg, *argv[1:])
-    assert err.startswith(f"error: {key}: ")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+    for value in ("1e309", "1" + "0" * 400):
+        cfg.write_text(f'{{"{key}": {value}}}')
+        err = fails_cleanly(argv[0], "--config", cfg, *argv[1:])
+        assert err.startswith(f"error: {key}: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]

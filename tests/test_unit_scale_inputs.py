@@ -16,7 +16,7 @@ def test_fit_requires_finite_positive_scale(scale):
         JitterFit(unit_scale=scale)
 
 
-@pytest.mark.parametrize("scale", [["a", 1], [None, 1], [{}, 1]])
+@pytest.mark.parametrize("scale", [["a", 1], [None, 1], [{}, 1], [True, 1], "12"])
 def test_config_rejects_non_numeric_scale(scale):
     with pytest.raises(FieldValidationError, match="unit_scale"):
         resolve_config({"unit_scale": scale})
