@@ -54,22 +54,6 @@ def width_table(n: int) -> Dict[str, Union[FixedRow, PerExponentRows]]:
     }
 
 
-def secondary_bias_widths(i: int, w_max: float, mode: str = "shrinking") -> float:
-    """Exponent-dependent width of the secondary-bias FET.
-
-    mode="shrinking": w_max * 1.3**-i, the analytic sizing that compensates
-    the lower turn-on voltage of slower branches. mode="table": w_max *
-    2.6**i, the tabulated sizing. The two disagree and both are kept.
-    """
-    if i < 0:
-        raise FieldValidationError("i", "exponent must be >= 0")
-    if mode == "shrinking":
-        return w_max * 1.3**-i
-    if mode == "table":
-        return w_max * 2.6**i
-    raise FieldValidationError("mode", f"must be 'shrinking' or 'table' (got {mode!r})")
-
-
 def bias_current(v_ref: float, tech: TechnologyProfile) -> float:
     """Subthreshold diode-law current i_0 * exp((v_ref - v_thn) / (m v_t)).
 
@@ -147,25 +131,3 @@ def bias_plan(v_ref: float, n: int, tech: TechnologyProfile) -> BiasPlan:
         v_b2=v_b2,
     )
 
-
-def mirror_error(
-    plan: BiasPlan,
-    r_ds_finite: Union[float, np.ndarray],
-    dv_ds: Union[None, float, np.ndarray] = None,
-) -> np.ndarray:
-    """First-order relative current error per branch from finite output resistance.
-
-    delta_i = dv_ds / r_ds, relative to the branch current. dv_ds is each
-    branch's drain-voltage deviation from the pin target; by default the plan
-    pins every drain exactly, so the errors are zero. r_ds -> inf recovers the
-    ideal mirror.
-    """
-    r_ds = np.broadcast_to(np.asarray(r_ds_finite, dtype=float), (plan.n_bits,))
-    if np.any(r_ds <= 0):
-        raise FieldValidationError("r_ds_finite", "output resistance must be > 0")
-    if dv_ds is None:
-        deviations = np.array([(b2 - b1) - plan.drain_pin for b1, b2 in zip(plan.v_b1, plan.v_b2)])
-    else:
-        deviations = np.broadcast_to(np.asarray(dv_ds, dtype=float), (plan.n_bits,))
-    currents = np.asarray(plan.currents)
-    return deviations / (r_ds * currents)

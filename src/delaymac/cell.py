@@ -4,24 +4,21 @@ A cell delays a falling edge by (1) dropping the storage cap's voltage by an
 input-dependent amount dv0, (2) discharging it at the steady rate
 R = i_star / c_star, and (3) firing a threshold detector whose subthreshold
 FET charges the detector node until a half-latch flips. Each operation here
-is a pure function of its arguments.
+is a pure function of its arguments. vre_transient, the detector-node
+voltage in time, is the independent oracle of latch_delay's closed form.
 """
 
 from __future__ import annotations
 
 import math
-import warnings as _warnings
+import sys
 from dataclasses import dataclass
-from typing import Callable, Optional
 
-from .errors import QuadratureError, RegimeError
+from .errors import RegimeError
 from .params import CellDesign, TechnologyProfile
 
 #: Linearity margin above which the latch delay is treated as affine in dv0.
 LINEARIZED_MARGIN = 10.0
-
-#: Relative tolerance of the variable-capacitance quadrature.
-QUADRATURE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -77,16 +74,6 @@ def init_validity_min_cstar(cell: CellDesign, tech: TechnologyProfile) -> float:
     return (cell.c_s_eff * (tech.v_dd - tech.v_thn) + cell.dq_of_md) / tech.v_thn
 
 
-def absolute_delay_ideal(dv0: float, dv_th: float, cell: CellDesign) -> float:
-    """Steady-discharge delay (c_star/i_star) * (dv_th - dv0) for an ideal detector."""
-    if dv_th < dv0:
-        raise RegimeError(
-            f"latch threshold dv_th={dv_th} below initial drop dv0={dv0}: "
-            "the detector would fire before discharge begins"
-        )
-    return (cell.c_star / cell.i_star) * (dv_th - dv0)
-
-
 def referential_delay_ideal(v_a: float, cell: CellDesign) -> float:
     """Referential delay -(c_s_eff/i_star) * (v_a - v_a0).
 
@@ -95,51 +82,6 @@ def referential_delay_ideal(v_a: float, cell: CellDesign) -> float:
     v_a > v_a0.
     """
     return -(cell.c_s_eff / cell.i_star) * (v_a - cell.v_a0)
-
-
-def referential_delay_varcap(
-    v_a: float,
-    cell: CellDesign,
-    tech: TechnologyProfile,
-    c_of_v: Callable[[float], float],
-) -> float:
-    """Referential delay when the storage capacitance varies with voltage.
-
-    Integrates (1/i_star) * C(v) dv between the post-initialization voltages
-    of the reference and variable cell. With C(v) == c_star this reduces to
-    referential_delay_ideal.
-    """
-    # imported here: no CLI command needs scipy, and it dominates start-up time
-    from scipy import integrate
-
-    lo = tech.v_dd - initial_drop(cell.v_a0, cell, tech).dv0
-    hi = tech.v_dd - initial_drop(v_a, cell, tech).dv0
-    for probe in (lo, 0.5 * (lo + hi), hi):
-        c = c_of_v(probe)
-        if not math.isfinite(c) or c <= 0:
-            raise RegimeError(f"c_of_v({probe}) = {c}; capacitance must be positive and bounded")
-    if lo == hi:
-        return 0.0
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("error", integrate.IntegrationWarning)
-        try:
-            value, abserr = integrate.quad(c_of_v, lo, hi, epsabs=0.0, epsrel=QUADRATURE_RTOL, limit=200)
-        except integrate.IntegrationWarning as exc:
-            raise QuadratureError(f"quadrature did not converge: {exc}") from exc
-    if value != 0.0 and abs(abserr / value) > 100 * QUADRATURE_RTOL:
-        raise QuadratureError(
-            f"quadrature error estimate {abserr:.3e} exceeds tolerance for integral {value:.3e}"
-        )
-    return value / cell.i_star
-
-
-def pv_delay_offset(dv_thn: float, cell: CellDesign) -> float:
-    """Referential-delay offset -(c_s_eff/i_star) * dv_thn from a threshold shift.
-
-    dv_thn is the process-induced shift of the input FET threshold; the
-    offset is odd in it.
-    """
-    return -(cell.c_s_eff / cell.i_star) * dv_thn
 
 
 def _latch_log_const(cell: CellDesign, tech: TechnologyProfile) -> float:
@@ -152,7 +94,9 @@ def vre_transient(t: float, dv0: float, cell: CellDesign, tech: TechnologyProfil
     """Detector-node voltage at time t after discharge starts.
 
     v_re(t) = (i_0/c_re) * (v_t/R) * exp(dv0/v_t) * (exp(R t / v_t) - 1),
-    valid while the detector FET stays subthreshold (dv0 < v_thp).
+    valid while the detector FET stays subthreshold (dv0 < v_thp). No command
+    calls it: it stays as the independent check of latch_delay, whose t_d is
+    where this transient crosses v_thn.
     """
     if t < 0:
         raise RegimeError(f"t={t} must be >= 0")
@@ -199,30 +143,17 @@ def latch_delay(dv0: float, cell: CellDesign, tech: TechnologyProfile) -> LatchR
     return LatchResult(t_d=t_d, dv_th=dv_th, linearized=margin >= LINEARIZED_MARGIN)
 
 
-def td_linearity_margin(
-    cell: CellDesign,
-    tech: TechnologyProfile,
-    dv0_max: float,
-    power: Optional[float] = None,
-    v_g0: Optional[float] = None,
-) -> float:
+def td_linearity_margin(cell: CellDesign, tech: TechnologyProfile, dv0_max: float) -> float:
     """Dimensionless detector-linearity ratio; the delay is affine when >> 1.
 
     ratio = (i_star/c_star) * c_re / (i_0 * exp(dv0_max/v_t)) * (v_thn/v_t).
-
-    With ``power`` given, the detector is modeled with a (power-1)-degree
-    polynomial I-V law instead of an exponential and the final factor uses
-    v_g0/power in place of v_t; ``v_g0`` is then required. The ratio is
-    proportional to i_star, so an ideal-switch detector (power -> inf)
-    satisfies the constraint trivially.
+    Raises RegimeError where exp(dv0_max/v_t) would overflow, comparing the
+    exponent so that exp is never called out of range.
     """
     if not 0 <= dv0_max < tech.v_dd:
         raise RegimeError(f"dv0_max={dv0_max} outside [0, v_dd)")
-    base = (cell.i_star / cell.c_star) * cell.c_re / (tech.i_0 * math.exp(dv0_max / tech.v_t))
-    if power is None:
-        return base * (tech.v_thn / tech.v_t)
-    if v_g0 is None or v_g0 <= 0:
-        raise RegimeError("v_g0 must be a positive voltage when power is given")
-    if power <= 0:
-        raise RegimeError(f"power={power} must be > 0")
-    return base * (tech.v_thn / (v_g0 / power))
+    exponent = dv0_max / tech.v_t
+    if exponent > math.log(sys.float_info.max):
+        raise RegimeError(f"dv0_max/v_t = {exponent:.4g} overflows the detector's exponential law")
+    base = (cell.i_star / cell.c_star) * cell.c_re / (tech.i_0 * math.exp(exponent))
+    return base * (tech.v_thn / tech.v_t)

@@ -7,9 +7,10 @@ and use the characterized per-bit constants of the 5-bit reference design.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
-from .errors import FieldValidationError
+from .errors import FieldValidationError, RegimeError
 from .params import CellDesign, MultiplierSpec, TechnologyProfile
 
 #: Per-bit energy of the event pull-up and input-edge inverter [J].
@@ -59,10 +60,19 @@ class EnergyBreakdown:
 
 
 def cap_energy(c: float, tech: TechnologyProfile) -> float:
-    """Energy c * v_dd^2 to charge a capacitance through the full supply."""
+    """Energy c * v_dd^2 to charge a capacitance through the full supply.
+
+    Raises RegimeError when the energy is not a finite float.
+    """
     if c <= 0:
         raise FieldValidationError("c", "capacitance must be > 0")
-    return c * tech.v_dd**2
+    try:
+        energy = c * tech.v_dd**2
+    except OverflowError:  # float ** raises where * would give inf
+        energy = math.inf
+    if not math.isfinite(energy):
+        raise RegimeError(f"c * v_dd^2 = {energy} J for c={c:.4g} F, v_dd={tech.v_dd:.4g} V is not a finite energy")
+    return energy
 
 
 def short_circuit_energy(r: float, tech: TechnologyProfile) -> float:
@@ -71,23 +81,13 @@ def short_circuit_energy(r: float, tech: TechnologyProfile) -> float:
     (v_dd / (6 r)) * mu_wl_cox * (v_dd - v_thp - v_thn)^3. Inversely
     proportional to r, so cells with exponentially scaled-down currents pay
     exponentially more; this is why the single-FET detector replaces the
-    inverter.
+    inverter. No command calls it; it stays because it is the only reader of
+    the config key mu_wl_cox, which every config digest covers.
     """
     if r <= 0:
         raise FieldValidationError("r", "ramp rate must be > 0")
     swing = tech.v_dd - tech.v_thp - tech.v_thn
     return (tech.v_dd / (6.0 * r)) * tech.mu_wl_cox * swing**3
-
-
-def multiplier_short_circuit_total(n_bits: int, r_fastest: float, tech: TechnologyProfile) -> float:
-    """Total inverter-detector short-circuit energy of an n-bit multiplier.
-
-    The per-exponent doubling chain sums to (2**(n+1) - 1) times the fastest
-    cell's energy.
-    """
-    if n_bits < 1:
-        raise FieldValidationError("n_bits", "must be >= 1")
-    return (2 ** (n_bits + 1) - 1) * short_circuit_energy(r_fastest, tech)
 
 
 def mac_energy(

@@ -40,6 +40,3 @@ class CalibrationError(DelaymacError, RuntimeError):
 class InfeasibleRegionError(DelaymacError, ValueError):
     """An operation that needs a non-empty feasible region got an empty one."""
 
-
-class QuadratureError(DelaymacError, ArithmeticError):
-    """Adaptive quadrature failed to converge to the requested tolerance."""

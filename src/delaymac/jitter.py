@@ -1,20 +1,26 @@
-"""Jitter models for the two noise-dominant sub-processes and a seeded sampler.
+"""Fitted jitter models of the two noise-dominant sub-processes and the one
+seeded jitter stream.
 
-Two variants exist side by side: thermal-noise theory forms, kept for trend
-cross-checks, and the fitted forms actually used by the feasibility
-constraints. The fitted constants require a calibrated unit scale
-(JitterFit.unit_scale); evaluating them uncalibrated raises.
+The fitted constants require a calibrated unit scale (JitterFit.unit_scale);
+evaluating them uncalibrated raises.
+
+Every jitter sample is drawn by _draw_jitter from one Generator(PCG64(seed))
+per evaluation: first one normal per weighted cell for trial 0, then one
+normal per later trial, scaled by the root sum of squares of the weights.
+multiplier.simulate_chain draws a MAC chain through it, and
+sample_cell_jitter is its one-cell case, so the same seed gives the same
+numbers on both paths and on every platform.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Union
 
 import numpy as np
 
 from .errors import UncalibratedFitError
-from .params import BOLTZMANN_J_PER_K, CellDesign, JitterFit, TechnologyProfile
+from .params import CellDesign, JitterFit
 
 
 @dataclass(frozen=True)
@@ -37,39 +43,6 @@ def require_calibrated(fit: JitterFit) -> tuple:
             "(or load a config with a unit_scale) before evaluating fitted models"
         )
     return fit.unit_scale
-
-
-def sd_jitter_theory(
-    cell: CellDesign,
-    tech: TechnologyProfile,
-    g_d0: float,
-    t_d: Optional[float] = None,
-    dv_th: Optional[float] = None,
-    dv0: Optional[float] = None,
-) -> float:
-    """Steady-discharge jitter variance 4kT*gamma*g_d0 / (2 i_star^2) * t_d.
-
-    Channel noise of the current source integrates on the storage cap for the
-    whole delay, so the variance is linear in t_d. Pass (dv_th, dv0) instead
-    of t_d to expand t_d = (c_star/i_star)(dv_th - dv0).
-    """
-    if t_d is None:
-        if dv_th is None or dv0 is None:
-            raise ValueError("provide t_d or both dv_th and dv0")
-        t_d = (cell.c_star / cell.i_star) * (dv_th - dv0)
-    four_kt = 4.0 * BOLTZMANN_J_PER_K * tech.temperature
-    return four_kt * tech.gamma * g_d0 / (2.0 * cell.i_star**2) * t_d
-
-
-def td_variance_theory(cell: CellDesign, tech: TechnologyProfile, g0: float) -> float:
-    """Detector-node voltage variance proxy beta * c_re * v_thn / i_0, beta = 4kT*gamma*g0.
-
-    The exponential rise of the detector current makes the accumulated noise
-    depend only on the state at latch-up, so the result is independent of the
-    ramp rate R. Proportional-to-volts^2 units; used for trend checks only.
-    """
-    beta = 4.0 * BOLTZMANN_J_PER_K * tech.temperature * tech.gamma * g0
-    return beta * cell.c_re * tech.v_thn / tech.i_0
 
 
 def sd_jitter_fitted(cell: CellDesign, fit: JitterFit) -> float:
@@ -102,15 +75,33 @@ def total_jitter(cell: CellDesign, fit: JitterFit, pair_factor: int = 1) -> Jitt
     )
 
 
+def _draw_jitter(seed: Union[int, np.random.SeedSequence], cell_weights: np.ndarray, trials: int) -> tuple:
+    """The one jitter stream: trial 0's per-cell normals and every trial's total.
+
+    Trial 0 takes one normal z per cell and totals sum(w * z); each later
+    trial takes one normal of the same stream, scaled in place by
+    sqrt(sum of w**2). That is exact: independent Gaussian cells sum to
+    N(0, sum of w**2).
+    """
+    rng = np.random.Generator(np.random.PCG64(seed))
+    first = rng.standard_normal(cell_weights.size)
+    totals = np.empty(trials)
+    totals[0] = (first * cell_weights).sum()
+    rng.standard_normal(out=totals[1:])
+    totals[1:] *= np.sqrt((cell_weights * cell_weights).sum())
+    return first, totals
+
+
 def sample_cell_jitter(seed: int, cell: CellDesign, fit: JitterFit, count: int) -> np.ndarray:
     """Zero-mean Gaussian jitter samples with the fitted per-cell variance.
 
-    The same seed yields the same sequence on every platform. Callers running
-    parallel streams should split seeds (e.g. numpy SeedSequence.spawn)
-    rather than share one.
+    The one-cell case of the jitter stream, weight sigma: the numbers a
+    one-stage chain with one set bit draws at the same seed. The same seed
+    yields the same sequence on every platform. Callers running parallel
+    streams should split seeds (e.g. numpy SeedSequence.spawn) rather than
+    share one.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     sigma = total_jitter(cell, fit).sigma_total
-    rng = np.random.Generator(np.random.PCG64(seed))
-    return sigma * rng.standard_normal(count)
+    return _draw_jitter(seed, np.array([sigma]), count)[1]

@@ -15,15 +15,13 @@ simulate_multiply is its one-stage case, differential_multiply a two-stage
 chain read stage by stage, and a transfer_sweep row one stage of trial 0.
 
 Jitter needs a fit and a seed; without either, every trial is the
-deterministic total. The stream is one Generator(PCG64(seed)) per
-evaluation. Trial 0 takes its first normals, one per traversed cell,
-stage-major, then per set bit in increasing i: the variable path, then the
-reference path for pair_factor=2. Its total is the deterministic total plus sign * sigma * z summed over those
-cells, and it alone feeds the per-stage view. Every later trial takes one
-normal z of the same stream and is the deterministic total plus
-sqrt(sum of w**2) * z, w being the signed per-cell sigma. This is exact, not
-an approximation: the cells' jitter is independent and Gaussian, so their
-weighted sum is N(0, sum of w**2).
+deterministic total. The draw is the package's one jitter stream,
+jitter._draw_jitter, weighted by the signed per-cell sigmas of the traversed
+cells in this order: stage-major, then per set bit in increasing i, the
+variable path, then the reference path for pair_factor=2. Trial 0's
+per-cell normals alone feed the per-stage view. jitter.sample_cell_jitter is
+the stream's one-cell case: a one-stage chain with one set bit at
+v_a = v_a0 draws exactly its samples.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ import numpy as np
 
 from .cell import initial_drop, latch_delay, latch_point
 from .errors import RegimeError
-from .jitter import total_jitter
+from .jitter import _draw_jitter, total_jitter
 from .params import INPUT_FLOOR_V, CellDesign, JitterFit, MultiplierSpec, TechnologyProfile, require_weight_fits
 
 SeedLike = Union[int, np.random.SeedSequence]
@@ -174,17 +172,14 @@ def simulate_chain(
         margin = ramp * cell.c_re / (tech.i_0 * np.exp(dv0 / tech.v_t))[:, None] * (tech.v_thn / tech.v_t)
         rd = ((tech.v_t / ramp) * np.log1p(margin) - t_base) + distortion
 
-    jitter, j_var, j_ref = np.zeros(trials), 0.0, 0.0
-    if noisy:
+    j_var = j_ref = 0.0
+    if not noisy:
+        jitter = np.zeros(trials)
+    else:
         stage, bit = np.nonzero(bits)  # the traversed cells, stage-major
         path_sigma = np.stack([sigma[bit], -sigma[bit]], axis=1)[:, :pair_factor]
         cell_weights = (signs[stage, None] * path_sigma).ravel()
-        rng = np.random.Generator(np.random.PCG64(seed))
-        first = rng.standard_normal(cell_weights.size)  # trial 0, kept for the per-stage view
-        jitter[0] = (first * cell_weights).sum()
-        scale = np.sqrt((cell_weights * cell_weights).sum())
-        rng.standard_normal(out=jitter[1:])
-        jitter[1:] *= scale
+        first, jitter = _draw_jitter(seed, cell_weights, trials)  # first: trial 0, for the per-stage view
         j = np.zeros(bits.shape + (2,))
         j[stage, bit, :pair_factor] = sigma[bit, None] * first.reshape(-1, pair_factor)
         j_var, j_ref = j[..., 0], j[..., 1]

@@ -88,50 +88,3 @@ class TestBiasPlan:
         rows = plan.csv_rows()
         assert [r[0] for r in rows] == [0, 1, 2]
         assert rows[1][1] == pytest.approx(0.5e-6, rel=1e-9, abs=0)
-
-
-class TestSecondaryWidths:
-    def test_identity_at_zero(self):
-        assert bs.secondary_bias_widths(0, 26.0) == 26.0
-        assert bs.secondary_bias_widths(0, 26.0, mode="table") == 26.0
-
-    def test_shrinking_law(self):
-        assert bs.secondary_bias_widths(2, 1.0) == pytest.approx(1 / 1.69, rel=1e-9)
-
-    def test_table_law(self):
-        assert bs.secondary_bias_widths(2, 1.0, mode="table") == pytest.approx(2.6**2, rel=1e-12)
-
-    def test_mode_validation(self):
-        with pytest.raises(FieldValidationError):
-            bs.secondary_bias_widths(1, 1.0, mode="other")
-        with pytest.raises(FieldValidationError):
-            bs.secondary_bias_widths(-1, 1.0)
-
-
-class TestMirrorError:
-    def test_ideal_pinning_gives_zero_error(self, tech):
-        plan = bs.bias_plan(bs.v_ref_for_current(1e-6, tech), 5, tech)
-        err = bs.mirror_error(plan, r_ds_finite=10e6)
-        # the default plan pins every drain, leaving only float residue
-        assert np.all(np.abs(err) < 1e-12)
-
-    def test_worked_example(self, tech):
-        plan = bs.bias_plan(bs.v_ref_for_current(1e-6, tech), 1, tech)
-        err = bs.mirror_error(plan, r_ds_finite=10e6, dv_ds=0.010)
-        assert err[0] == pytest.approx(1e-3, rel=1e-9)
-
-    def test_inverse_in_rds(self, tech):
-        plan = bs.bias_plan(bs.v_ref_for_current(1e-6, tech), 3, tech)
-        a = bs.mirror_error(plan, r_ds_finite=1e6, dv_ds=0.01)
-        b = bs.mirror_error(plan, r_ds_finite=2e6, dv_ds=0.01)
-        assert np.allclose(a, 2 * b, rtol=1e-12)
-
-    def test_infinite_rds_limit(self, tech):
-        plan = bs.bias_plan(bs.v_ref_for_current(1e-6, tech), 3, tech)
-        err = bs.mirror_error(plan, r_ds_finite=1e30, dv_ds=0.01)
-        assert np.all(np.abs(err) < 1e-24)
-
-    def test_rds_validation(self, tech):
-        plan = bs.bias_plan(bs.v_ref_for_current(1e-6, tech), 2, tech)
-        with pytest.raises(FieldValidationError):
-            bs.mirror_error(plan, r_ds_finite=0.0)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from delaymac import cell as ca
-from delaymac.errors import QuadratureError, RegimeError
+from delaymac.errors import RegimeError
 from delaymac.params import CellDesign, TechnologyProfile
 
 # direct evaluations of the closed forms at the default operating point,
@@ -76,26 +76,6 @@ class TestInitValidity:
         )
 
 
-class TestAbsoluteDelay:
-    def test_zero_span(self, cell):
-        assert ca.absolute_delay_ideal(0.3, 0.3, cell) == 0.0
-
-    def test_default_point(self, cell):
-        assert ca.absolute_delay_ideal(DV0_AT_VDD, 0.6, cell) == pytest.approx(
-            6.173699999999998e-10, rel=1e-12, abs=0
-        )
-
-    def test_slowest_cell_of_5_bits(self, cell):
-        slow = cell.with_current(31.25e-9)
-        assert ca.absolute_delay_ideal(DV0_AT_VDD, 0.6, slow) == pytest.approx(
-            1.9755839999999994e-08, rel=1e-12, abs=0
-        )
-
-    def test_negative_span_rejected(self, cell):
-        with pytest.raises(RegimeError):
-            ca.absolute_delay_ideal(0.5, 0.4, cell)
-
-
 class TestReferentialDelay:
     def test_zero_at_reference(self, cell):
         assert ca.referential_delay_ideal(cell.v_a0, cell) == 0.0
@@ -123,44 +103,6 @@ class TestReferentialDelay:
         base = CellDesign()
         scaled = replace(base, c_star=base.c_star * scale)
         assert ca.referential_delay_ideal(1.0, scaled) == ca.referential_delay_ideal(1.0, base)
-
-
-class TestVarCap:
-    def test_constant_cap_reduces_to_ideal(self, cell, tech):
-        got = ca.referential_delay_varcap(1.2, cell, tech, lambda v: cell.c_star)
-        assert got == pytest.approx(ca.referential_delay_ideal(1.2, cell), rel=1e-9, abs=0)
-
-    def test_linear_cap_against_closed_form(self, cell, tech):
-        c0, alpha = cell.c_star, 0.3
-
-        def c_of_v(v):
-            return c0 * (1 + alpha * (v - tech.v_dd))
-
-        lo = tech.v_dd - ca.initial_drop(cell.v_a0, cell, tech).dv0
-        hi = tech.v_dd - ca.initial_drop(1.2, cell, tech).dv0
-        # hand-integrated polynomial: c0 * [v + alpha (v^2/2 - v_dd v)]
-        antiderivative = lambda v: c0 * (v + alpha * (v**2 / 2 - tech.v_dd * v))
-        expected = (antiderivative(hi) - antiderivative(lo)) / cell.i_star
-        got = ca.referential_delay_varcap(1.2, cell, tech, c_of_v)
-        assert got == pytest.approx(expected, rel=1e-9, abs=0)
-
-    def test_zero_at_reference(self, cell, tech):
-        assert ca.referential_delay_varcap(cell.v_a0, cell, tech, lambda v: cell.c_star) == 0.0
-
-    def test_nonpositive_capacitance_rejected(self, cell, tech):
-        with pytest.raises(RegimeError):
-            ca.referential_delay_varcap(1.2, cell, tech, lambda v: -1e-15)
-
-
-class TestPvOffset:
-    def test_zero(self, cell):
-        assert ca.pv_delay_offset(0.0, cell) == 0.0
-
-    def test_ten_millivolts(self, cell):
-        assert ca.pv_delay_offset(0.01, cell) == pytest.approx(-2.3e-12, rel=1e-12, abs=0)
-
-    def test_odd_symmetry(self, cell):
-        assert ca.pv_delay_offset(-0.01, cell) == -ca.pv_delay_offset(0.01, cell)
 
 
 class TestVreTransient:
@@ -278,15 +220,3 @@ class TestLinearityMargin:
         full = ca.td_linearity_margin(cell, tech, dv0_max=0.3)
         half = ca.td_linearity_margin(cell.with_current(cell.i_star / 2), tech, dv0_max=0.3)
         assert half == pytest.approx(full / 2, rel=1e-12)
-
-    def test_power_law_variant(self, cell, tech):
-        base = ca.td_linearity_margin(cell, tech, dv0_max=0.3)
-        powered = ca.td_linearity_margin(cell, tech, dv0_max=0.3, power=2.0, v_g0=0.5)
-        expected = base * tech.v_t / (0.5 / 2.0)
-        assert powered == pytest.approx(expected, rel=1e-12)
-        # steeper detectors relax the constraint without bound
-        assert ca.td_linearity_margin(cell, tech, dv0_max=0.3, power=1e9, v_g0=0.5) > 1e8
-
-    def test_power_requires_vg0(self, cell, tech):
-        with pytest.raises(RegimeError):
-            ca.td_linearity_margin(cell, tech, dv0_max=0.3, power=2.0)

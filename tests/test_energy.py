@@ -41,11 +41,6 @@ class TestShortCircuit:
         for i in range(6):
             assert en.short_circuit_energy(r0 / 2**i, tech) == 2**i * base
 
-    def test_multiplier_total(self, tech):
-        r0 = 4.5e8
-        total = en.multiplier_short_circuit_total(5, r0, tech)
-        assert total == pytest.approx((2**6 - 1) * en.short_circuit_energy(r0, tech), rel=1e-12, abs=0)
-
 
 class TestMacEnergy:
     def test_sense_total_near_reference(self, cell, tech, spec31):

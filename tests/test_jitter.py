@@ -4,50 +4,11 @@ from hypothesis import given, settings, strategies as st
 
 from delaymac import jitter as jt
 from delaymac.errors import UncalibratedFitError
-from delaymac.params import CellDesign, JitterFit, TechnologyProfile
+from delaymac.params import CellDesign, JitterFit
 
 # frozen direct evaluations
-SD_THEORY_REFERENCE = 1.2425841000000002e-23      # g_d0=1uS, i=1uA, t_d=1ns, 300K, gamma=1.5
-TD_THEORY_REFERENCE = 3.03786960768e-32           # g0=1nS, c_re=0.382fF, v_thn=0.32, i_0=100fA
 VAR_SD_DESIGN_POINT = 1.141840366913875e-27       # fitted, calibrated, 2.2fF / 1uA cell
 VAR_TD_DESIGN_POINT = 4.498465243704724e-24
-
-
-class TestTheory:
-    def test_reference_value(self, cell, tech):
-        got = jt.sd_jitter_theory(cell, tech, g_d0=1e-6, t_d=1e-9)
-        assert got == pytest.approx(SD_THEORY_REFERENCE, rel=1e-12, abs=0)
-
-    def test_zero_delay(self, cell, tech):
-        assert jt.sd_jitter_theory(cell, tech, g_d0=1e-6, t_d=0.0) == 0.0
-
-    def test_linear_in_delay(self, cell, tech):
-        one = jt.sd_jitter_theory(cell, tech, g_d0=1e-6, t_d=1e-9)
-        two = jt.sd_jitter_theory(cell, tech, g_d0=1e-6, t_d=2e-9)
-        assert two == pytest.approx(2 * one, rel=1e-12, abs=0)
-
-    def test_delay_expansion_path(self, cell, tech):
-        t_d = (cell.c_star / cell.i_star) * (0.6 - 0.3)
-        direct = jt.sd_jitter_theory(cell, tech, g_d0=1e-6, t_d=t_d)
-        expanded = jt.sd_jitter_theory(cell, tech, g_d0=1e-6, dv_th=0.6, dv0=0.3)
-        assert expanded == pytest.approx(direct, rel=1e-12, abs=0)
-
-    def test_td_reference_value(self):
-        cell = CellDesign(c_re=0.382e-15)
-        tech = TechnologyProfile(v_thn=0.32)
-        assert jt.td_variance_theory(cell, tech, g0=1e-9) == pytest.approx(
-            TD_THEORY_REFERENCE, rel=1e-12, abs=0
-        )
-
-    def test_td_independent_of_ramp_rate(self, cell, tech):
-        base = jt.td_variance_theory(cell, tech, g0=1e-9)
-        ten_x_rate = jt.td_variance_theory(cell.with_current(10 * cell.i_star), tech, g0=1e-9)
-        assert ten_x_rate == base
-
-    def test_td_proportional_to_cre(self, tech):
-        a = jt.td_variance_theory(CellDesign(c_re=0.4e-15), tech, g0=1e-9)
-        b = jt.td_variance_theory(CellDesign(c_re=0.8e-15), tech, g0=1e-9)
-        assert b == pytest.approx(2 * a, rel=1e-12, abs=0)
 
 
 class TestFitted:
