@@ -1,5 +1,23 @@
+"""The `delaymac` launcher: `python -m delaymac` and the console script.
+
+No delaymac code calls BLAS, yet numpy's OpenBLAS starts one worker thread
+per extra core when numpy loads, which costs every short command tens of
+milliseconds of start-up on a busy host. run() therefore pins OpenBLAS to
+one thread before anything imports numpy. A value the user set in
+OPENBLAS_NUM_THREADS wins, and importing the package as a library leaves
+BLAS as it is: only this launcher sets the variable.
+"""
+
+import os
 import sys
 
-from .cli import main
 
-sys.exit(main())
+def run() -> int:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    from .cli import main
+
+    return main()
+
+
+if __name__ == "__main__":
+    sys.exit(run())

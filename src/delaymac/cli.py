@@ -30,6 +30,12 @@ to 8. Out of range is an input error: region --bits 49 and up exits 1, not
 2, and energy --bits 49 and up exits 1 instead of running. bias takes at
 most one of --vref and --ibias, and a --vref above the subthreshold ceiling
 exits 1.
+
+The launcher, delaymac.__main__.run (python -m delaymac and the delaymac
+console script), pins OpenBLAS to one thread before numpy loads: no command
+calls BLAS, and each extra worker OpenBLAS would start costs start-up time.
+A user-set OPENBLAS_NUM_THREADS wins. Calling main() from a library or a
+test leaves BLAS as it is.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .cell import init_validity_min_cstar
-from .errors import CalibrationError, FieldValidationError, InfeasibleRegionError
+from .errors import CalibrationError, FieldValidationError, InfeasibleRegionError, RegimeError
 from .jitter import require_calibrated
 from .params import MAX_BITS_CAP, CellDesign, JitterFit, TechnologyProfile, is_finite_number, require_bit_count
 
@@ -589,8 +589,10 @@ def calibrate_units(
     the distinct scales tied with it, and more than one means the targets
     leave the unit scale free.
 
-    Raises FieldValidationError for a malformed target and CalibrationError
-    when no candidate meets every target.
+    Raises FieldValidationError for a malformed target, RegimeError when the
+    jitter terms at the reference point leave the float range (no finite
+    unit scale can then match them) and CalibrationError when no candidate
+    meets every target.
     """
     _validate_targets(targets)
     if c_grid is None or i_grid is None:
@@ -607,7 +609,15 @@ def calibrate_units(
     c_ref = float(opt_target["c_star"]) if opt_target else cell_template.c_star
     i_ref = float(opt_target["i_star"]) if opt_target else cell_template.i_star
     n_ref = int(opt_target["n"]) if opt_target else (int(mb_target["bits"]) if mb_target else 5)
-    a_ref, b_ref = tables.jitter_terms(n_ref, c_ref, i_ref)
+    try:
+        a_ref, b_ref = tables.jitter_terms(n_ref, c_ref, i_ref)
+    except (OverflowError, ZeroDivisionError):  # a float power left the float range
+        a_ref = b_ref = math.inf
+    if not (0.0 < a_ref < math.inf and 0.0 < b_ref < math.inf):
+        raise RegimeError(
+            f"the jitter terms at the reference point (n={n_ref}, c_star={c_ref:.4g} F, i_star={i_ref:.4g} A) "
+            "leave the float range, so no finite unit scale meets the targets"
+        )
     budget = (JITTER_MARGIN_FRACTION * cell_template.c_s_eff / i_ref) ** 2 / 9.0
 
     candidates: List[Tuple[float, Tuple[float, float], Tuple[bool, ...], str]] = []

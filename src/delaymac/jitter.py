@@ -14,12 +14,13 @@ numbers on both paths and on every platform.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .errors import UncalibratedFitError
+from .errors import RegimeError, UncalibratedFitError
 from .params import CellDesign, JitterFit
 
 
@@ -46,9 +47,21 @@ def require_calibrated(fit: JitterFit) -> tuple:
 
 
 def sd_jitter_fitted(cell: CellDesign, fit: JitterFit) -> float:
-    """Fitted steady-discharge variance s1 * k1 * c_star / i_star**p1, seconds^2."""
+    """Fitted steady-discharge variance s1 * k1 * c_star / i_star**p1, seconds^2.
+
+    Raises RegimeError when the variance leaves the float range.
+    """
     s1, _ = require_calibrated(fit)
-    return s1 * fit.k1 * cell.c_star / cell.i_star**fit.p1
+    try:
+        var = s1 * fit.k1 * cell.c_star / cell.i_star**fit.p1
+    except (OverflowError, ZeroDivisionError):  # i_star**p1 left the float range
+        var = math.inf
+    if not math.isfinite(var):
+        raise RegimeError(
+            f"the steady-discharge variance s1 * k1 * c_star / i_star**p1 at i_star={cell.i_star:.4g} A, "
+            f"p1={fit.p1:.4g} leaves the float range"
+        )
+    return var
 
 
 def td_jitter_fitted(cell: CellDesign, fit: JitterFit) -> float:

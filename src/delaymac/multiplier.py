@@ -36,7 +36,7 @@ from .errors import RegimeError
 from .jitter import _draw_jitter, total_jitter
 from .params import INPUT_FLOOR_V, CellDesign, JitterFit, MultiplierSpec, TechnologyProfile, require_weight_fits
 
-SeedLike = Union[int, np.random.SeedSequence]
+SeedLike = Union[int, "np.random.SeedSequence"]
 
 MODELS = ("ideal", "nonlinear")
 

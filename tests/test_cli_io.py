@@ -1,4 +1,5 @@
-"""CLI outputs and start-up: the region CSV writer, `--seed` checks, lazy scipy."""
+"""CLI outputs and start-up: the region CSV writer, `--seed` checks, lazy scipy,
+and the launcher's one BLAS thread and lazy numpy.random."""
 
 import csv
 import io
@@ -135,3 +136,65 @@ def test_cold_start_loads_no_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+# Runs four subcommands through the launcher in a fresh interpreter, then
+# reports what the start left behind.
+LAUNCHER_START = """
+import json, os, runpy, sys
+for argv in (
+    ["region", "--bits", "5", "--grid-points", "16", "--out", "r.csv"],
+    ["maxbits", "--epsilon-grid", "1:3:3", "--grid-points", "16", "--out", "m.csv"],
+    ["calibrate", "--grid-points", "16"],
+    ["simulate", "--weights", "3,-5", "--va", "1.0,0.4", "--out", "s.csv"],
+):
+    sys.argv = ["delaymac", *argv]
+    try:
+        runpy.run_module("delaymac", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        assert exc.code == 0, (argv, exc.code)
+threads = len(os.listdir("/proc/self/task")) if sys.platform == "linux" else None
+print(json.dumps({
+    "numpy": "numpy" in sys.modules,
+    "numpy.random": "numpy.random" in sys.modules,
+    "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+    "threads": threads,
+}))
+"""
+
+
+def launch(tmp_path, **env):
+    """Run LAUNCHER_START with the given OPENBLAS_NUM_THREADS (None: unset)."""
+    src = str(Path(delaymac.__file__).resolve().parents[1])
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    proc = subprocess.run(
+        [sys.executable, "-c", LAUNCHER_START],
+        cwd=tmp_path,
+        env={**base, **env, "PYTHONPATH": src, "DELAYMAC_CONFIG_DIR": str(tmp_path / "confdir")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_launcher_pins_openblas_and_skips_numpy_random(tmp_path):
+    state = launch(tmp_path)
+    assert state["numpy"] and not state["numpy.random"]
+    assert state["OPENBLAS_NUM_THREADS"] == "1"
+    if sys.platform == "linux":
+        assert state["threads"] == 1
+
+
+def test_launcher_keeps_a_user_thread_count(tmp_path):
+    state = launch(tmp_path, OPENBLAS_NUM_THREADS="2")
+    assert state["OPENBLAS_NUM_THREADS"] == "2"
+    assert not state["numpy.random"]
+
+
+def test_console_script_is_the_launcher():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts == {"delaymac": "delaymac.__main__:run"}
