@@ -21,8 +21,8 @@ from .params import CellDesign, JitterFit, MultiplierSpec, TechnologyProfile
 from .units import coerce_quantity, format_number
 
 # v_t last: its default is kT/q at the resolved temperature
-TECH_KEYS = ("v_dd", "v_thn", "v_thp", "temperature", "i_0", "gamma", "mu_wl_cox", "v_t")
-CELL_KEYS = ("c_star", "c_s_eff", "dq_of_md", "dq_of_pd", "c_re", "i_star", "v_a0")
+TECH_KEYS = ("v_dd", "v_thn", "v_thp", "temperature", "i_0", "gamma", "v_t")
+CELL_KEYS = ("c_star", "c_s_eff", "dq_of_md", "c_re", "i_star", "v_a0")
 MULT_KEYS = ("n_bits", "sign", "weight_bits", "i_star_fastest")
 FIT_KEYS = ("k1", "p1", "k2", "q2", "unit_scale")
 

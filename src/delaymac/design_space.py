@@ -11,6 +11,11 @@ Three constraints bound a workable design:
    excess margin epsilon: 3 * sqrt(s1 * a_n + s2 * b_n) <= rhs0 / epsilon,
    with scale-free terms a_n, b_n and the unit scale (s1, s2).
 
+The slowest cell here runs at 2**-n times the fastest current, one halving
+below the slowest cell of an n-bit multiplier, whose bit-count convention
+params.MultiplierSpec states: so the design space is conservative by one
+halving.
+
 _ConstraintTables holds them over one grid as boundaries, never as
 full-grid evaluations, and says why each boundary is exact. Its per-column
 critical margins answer every max_bits, feasibility and optimum question at
@@ -261,9 +266,14 @@ class _ConstraintTables:
         return _first_true(fails, self.c_grid.size, self.i_grid.size)
 
     def jitter_terms(self, n: int, c: np.ndarray, i: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Scale-free variance terms (a_n, b_n) of the slowest cell at (c, i)."""
+        """Scale-free variance terms (a_n, b_n) of the slowest cell at (c, i).
+
+        A term beyond the float range is inf, which critical_epsilon reads
+        as margin 0, so numpy's overflow and divide warnings are silenced.
+        """
         i_slow = i * 2.0**-n
-        return self.fit.k1 * c / i_slow**self.fit.p1, self.fit.k2 * (c / i_slow) ** self.fit.q2
+        with np.errstate(divide="ignore", over="ignore"):
+            return self.fit.k1 * c / i_slow**self.fit.p1, self.fit.k2 * (c / i_slow) ** self.fit.q2
 
     def critical_epsilon(self, a: np.ndarray, b: np.ndarray, unit_scale: Tuple[float, float]) -> np.ndarray:
         """Largest epsilon meeting the jitter bound at each point with terms (a, b).
@@ -272,7 +282,8 @@ class _ConstraintTables:
         values, so they agree to the last bit.
         """
         s1, s2 = unit_scale
-        return self.rhs0 / (3.0 * np.sqrt(s1 * a + s2 * b))
+        with np.errstate(divide="ignore", over="ignore"):  # an inf variance is margin 0, a zero one inf
+            return self.rhs0 / (3.0 * np.sqrt(s1 * a + s2 * b))
 
     def region(self, n: int, epsilon: float, unit_scale: Tuple[float, float]) -> DesignRegion:
         rows, cols = np.arange(self.c_grid.size)[:, None], np.arange(self.i_grid.size)
@@ -622,6 +633,10 @@ def calibrate_units(
 
     candidates: List[Tuple[float, Tuple[float, float], Tuple[bool, ...], str]] = []
 
+    def usable(scale: Tuple[float, float]) -> bool:
+        """A scale JitterFit accepts: an entry that under- or overflowed is not."""
+        return all(0.0 < s < math.inf for s in scale)
+
     def scan(x: float) -> None:
         """Evaluate the ray with sd/td ratio x at the reference point."""
 
@@ -629,6 +644,8 @@ def calibrate_units(
             var_td = m * budget / (1.0 + x)
             return x * var_td / a_ref, var_td / b_ref
 
+        if not usable(scale_of(1.0)):
+            return
         interval = _anchor_interval(tables, targets, scale_of)
         if interval is None:
             return
@@ -636,6 +653,8 @@ def calibrate_units(
         # equal magnitudes give equal candidates, so each is evaluated once
         for m in dict.fromkeys(np.geomspace(interval[0], interval[1], 17).tolist()):
             scale = scale_of(m)
+            if not usable(scale):
+                continue
             met, residual = _evaluate_targets(tables, targets, scale)
             candidates.append((residual, scale, tuple(met), label))
 

@@ -75,21 +75,6 @@ def cap_energy(c: float, tech: TechnologyProfile) -> float:
     return energy
 
 
-def short_circuit_energy(r: float, tech: TechnologyProfile) -> float:
-    """Short-circuit energy of a CMOS-inverter detector driven at ramp rate r.
-
-    (v_dd / (6 r)) * mu_wl_cox * (v_dd - v_thp - v_thn)^3. Inversely
-    proportional to r, so cells with exponentially scaled-down currents pay
-    exponentially more; this is why the single-FET detector replaces the
-    inverter. No command calls it; it stays because it is the only reader of
-    the config key mu_wl_cox, which every config digest covers.
-    """
-    if r <= 0:
-        raise FieldValidationError("r", "ramp rate must be > 0")
-    swing = tech.v_dd - tech.v_thp - tech.v_thn
-    return (tech.v_dd / (6.0 * r)) * tech.mu_wl_cox * swing**3
-
-
 def mac_energy(
     spec: MultiplierSpec,
     cell: CellDesign,

@@ -1,6 +1,10 @@
 """Fitted jitter models of the two noise-dominant sub-processes and the one
 seeded jitter stream.
 
+total_jitter is the one per-cell budget: feasibility constraint 3, the
+Monte-Carlo acceptance criterion and the noisy engine all read a cell's
+variance from it, with no separate reference-path term.
+
 The fitted constants require a calibrated unit scale (JitterFit.unit_scale);
 evaluating them uncalibrated raises.
 
@@ -73,19 +77,13 @@ def td_jitter_fitted(cell: CellDesign, fit: JitterFit) -> float:
     return s2 * fit.k2 * (cell.c_star / cell.i_star) ** fit.q2
 
 
-def total_jitter(cell: CellDesign, fit: JitterFit, pair_factor: int = 1) -> JitterBudget:
-    """Combined per-cell budget; the two sources are independent.
+def total_jitter(cell: CellDesign, fit: JitterFit) -> JitterBudget:
+    """Combined budget of one cell; the two sources are independent.
 
-    pair_factor=2 doubles both variances to account for an equally noisy
-    reference-path cell; the default 1 matches the single-cell budget used
-    by the feasibility constraint.
+    The single-cell budget of feasibility constraint 3, the Monte-Carlo
+    acceptance criterion and each traversed cell of a noisy chain.
     """
-    if pair_factor not in (1, 2):
-        raise ValueError("pair_factor must be 1 or 2")
-    return JitterBudget(
-        var_sd=pair_factor * sd_jitter_fitted(cell, fit),
-        var_td=pair_factor * td_jitter_fitted(cell, fit),
-    )
+    return JitterBudget(var_sd=sd_jitter_fitted(cell, fit), var_td=td_jitter_fitted(cell, fit))
 
 
 def _draw_jitter(seed: Union[int, np.random.SeedSequence], cell_weights: np.ndarray, trials: int) -> tuple:

@@ -17,16 +17,16 @@ chain read stage by stage, and a transfer_sweep row one stage of trial 0.
 Jitter needs a fit and a seed; without either, every trial is the
 deterministic total. The draw is the package's one jitter stream,
 jitter._draw_jitter, weighted by the signed per-cell sigmas of the traversed
-cells in this order: stage-major, then per set bit in increasing i, the
-variable path, then the reference path for pair_factor=2. Trial 0's
-per-cell normals alone feed the per-stage view. jitter.sample_cell_jitter is
-the stream's one-cell case: a one-stage chain with one set bit at
-v_a = v_a0 draws exactly its samples.
+cells in this order: stage-major, then per set bit in increasing i. Each
+weight is one cell's budget, jitter.total_jitter. Trial 0's per-cell normals
+alone feed the per-stage view. jitter.sample_cell_jitter is the stream's
+one-cell case: a one-stage chain with one set bit at v_a = v_a0 draws
+exactly its samples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -115,7 +115,6 @@ def simulate_chain(
     fit: Optional[JitterFit] = None,
     seed: Optional[SeedLike] = None,
     trials: int = 1,
-    pair_factor: int = 1,
     ev_in: ReferentialEvent = ReferentialEvent(),
     distortion_alpha: float = 0.0,
 ) -> ChainResult:
@@ -126,8 +125,6 @@ def simulate_chain(
     """
     if model not in MODELS:
         raise ValueError(f"model must be one of {MODELS} (got {model!r})")
-    if pair_factor not in (1, 2):
-        raise ValueError("pair_factor must be 1 or 2")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if len(weights) != len(v_as):
@@ -152,7 +149,7 @@ def simulate_chain(
     distortion = unit * distortion_alpha * (dv * dv)
     t_base, sigma = np.zeros(template.n_bits), np.zeros(template.n_bits)
     for i in np.flatnonzero(bits.any(axis=0)):  # per-bit constants of the columns in use
-        cell_i = replace(cell, i_star=float(i_star[i]), v_a0=v_a0)
+        cell_i = cell.with_current(float(i_star[i]))
         dv0_ref = initial_drop(v_a0, cell_i, tech).dv0
         sigma[i] = total_jitter(cell_i, fit).sigma_total if noisy else 0.0
         if model == "ideal":
@@ -172,21 +169,19 @@ def simulate_chain(
         margin = ramp * cell.c_re / (tech.i_0 * np.exp(dv0 / tech.v_t))[:, None] * (tech.v_thn / tech.v_t)
         rd = ((tech.v_t / ramp) * np.log1p(margin) - t_base) + distortion
 
-    j_var = j_ref = 0.0
+    j = 0.0
     if not noisy:
         jitter = np.zeros(trials)
     else:
         stage, bit = np.nonzero(bits)  # the traversed cells, stage-major
-        path_sigma = np.stack([sigma[bit], -sigma[bit]], axis=1)[:, :pair_factor]
-        cell_weights = (signs[stage, None] * path_sigma).ravel()
-        first, jitter = _draw_jitter(seed, cell_weights, trials)  # first: trial 0, for the per-stage view
-        j = np.zeros(bits.shape + (2,))
-        j[stage, bit, :pair_factor] = sigma[bit, None] * first.reshape(-1, pair_factor)
-        j_var, j_ref = j[..., 0], j[..., 1]
-    per_bit = np.where(bits, rd + j_var - j_ref, 0.0)
+        # first: trial 0's per-cell normals, for the per-stage view
+        first, jitter = _draw_jitter(seed, signs[stage] * sigma[bit], trials)
+        j = np.zeros(bits.shape)
+        j[stage, bit] = sigma[bit] * first
+    per_bit = np.where(bits, rd + j, 0.0)
     quiet_total = np.cumsum(np.append(0.0, signs * _sum_bits(np.where(bits, rd, 0.0))))[-1]
-    paths = np.stack([_sum_bits(np.where(bits, t_base + rd + j_var, 0.0)),
-                      _sum_bits(np.where(bits, t_base + j_ref, 0.0))], axis=1)
+    paths = np.stack([_sum_bits(np.where(bits, t_base + rd + j, 0.0)),
+                      _sum_bits(np.where(bits, t_base, 0.0))], axis=1)
     paths[signs < 0] = paths[signs < 0, ::-1]  # the relay swaps the wires of a negative stage
     events = np.cumsum(np.vstack([[ev_in.t_var, ev_in.t_ref], paths]), axis=0)
     return ChainResult(quiet_total + jitter, signs * _sum_bits(per_bit), per_bit, events, tuple(warnings))
@@ -201,7 +196,6 @@ def simulate_multiply(
     model: str = "ideal",
     fit: Optional[JitterFit] = None,
     seed: Optional[SeedLike] = None,
-    pair_factor: int = 1,
     distortion_alpha: float = 0.0,
 ) -> MultiplyResult:
     """Propagate an event pair through one multiplier (a one-stage chain).
@@ -212,7 +206,7 @@ def simulate_multiply(
     """
     run = simulate_chain(
         [spec.sign * spec.weight_value], [v_a], spec, cell, tech, model=model, fit=fit, seed=seed,
-        pair_factor=pair_factor, ev_in=ev_in, distortion_alpha=distortion_alpha,
+        ev_in=ev_in, distortion_alpha=distortion_alpha,
     )
     return MultiplyResult(
         out=ReferentialEvent(*run.events[1].tolist()),
@@ -251,26 +245,22 @@ def transfer_sweep(
     model: str = "ideal",
     fit: Optional[JitterFit] = None,
     seed: Optional[int] = None,
-    positive_means_greater_va: bool = False,
 ) -> List[dict]:
     """Transfer-characteristic table over a weight set and an input grid.
 
     Each row, weight-major, is one stage of trial 0 of a chain. Row keys: v_a,
-    w (weight magnitude), s (sign), delta_t_s, model, seed.
-    positive_means_greater_va flips the reported delay so that inputs above
-    v_a0 read as positive products (presentation only; the stored convention
-    keeps v_a > v_a0 negative).
+    w (weight magnitude), s (sign), delta_t_s, model, seed. delta_t_s keeps
+    the engine's sign: negative for v_a > v_a0 at a positive weight.
     """
     w_runs = np.repeat(np.asarray(weights, dtype=np.int64), len(v_a_values)).tolist()
     v_runs = np.tile(np.asarray(v_a_values, dtype=float), len(weights)).tolist()
     deltas = simulate_chain(w_runs, v_runs, template, cell, tech, model=model, fit=fit, seed=seed).stage_deltas
-    flip = -1.0 if positive_means_greater_va else 1.0
     return [
         {
             "v_a": v_a,
             "w": abs(w),
             "s": -1 if w < 0 else 1,
-            "delta_t_s": flip * delta,
+            "delta_t_s": delta,
             "model": model,
             "seed": seed if seed is not None else "",
         }

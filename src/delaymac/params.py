@@ -76,7 +76,10 @@ class TechnologyProfile:
     """Process-level constants shared by every cell of a design.
 
     v_t must agree with kT/q at ``temperature`` to within 0.1%; pass only
-    ``temperature`` to have it derived.
+    ``temperature`` to have it derived. i_0 is the detector FET's
+    subthreshold current scale. gamma, the thermal-noise factor of the
+    paper's 4kT*gamma jitter form, is recorded for a cross-check of the
+    fitted jitter scale; no model reads it yet.
     """
 
     v_dd: float = 1.2
@@ -86,14 +89,13 @@ class TechnologyProfile:
     v_t: Optional[float] = None
     i_0: float = 100e-15
     gamma: float = 1.5
-    mu_wl_cox: float = 1e-4
 
     def __post_init__(self):
         _store_floats(self, "v_dd", "v_thn", "v_thp")
         _store_floats(self, "temperature", above=0)
         if self.v_t is None:
             object.__setattr__(self, "v_t", thermal_voltage(self.temperature))
-        _store_floats(self, "v_t", "i_0", "mu_wl_cox", above=0)
+        _store_floats(self, "v_t", "i_0", above=0)
         _store_floats(self, "gamma", at_least=1)
         _require(self.v_dd > self.v_thn > 0, "v_thn", "requires v_dd > v_thn > 0")
         _require(self.v_dd > self.v_thp > 0, "v_thp", "requires v_dd > v_thp > 0")
@@ -109,15 +111,15 @@ class TechnologyProfile:
 class CellDesign:
     """Per-cell designables and fitted parasitics.
 
-    c_s_eff is the input-sampling capacitance including its parasitics.
-    dq_of_md / dq_of_pd are the charge offsets measured mid-discharge and
-    post-discharge; analytic delay operations use the MD value.
+    c_s_eff is the input-sampling capacitance including its parasitics and
+    dq_of_md the charge offset measured mid-discharge, which the
+    initialization drop adds. v_a0 is the reference input; resolve_config
+    copies it to the MultiplierSpec, whose copy the multiplier reads.
     """
 
     c_star: float = 2.2e-15
     c_s_eff: float = 0.23e-15
     dq_of_md: float = 0.5e-15
-    dq_of_pd: float = 0.45e-15
     c_re: float = 0.382e-15
     i_star: float = 1e-6
     v_a0: float = 0.75
@@ -125,12 +127,7 @@ class CellDesign:
     def __post_init__(self):
         _store_floats(self, "c_star", "c_re", "i_star", above=0)
         # the sampling capacitance and charge offsets may degenerate to zero
-        _store_floats(self, "c_s_eff", "dq_of_md", "dq_of_pd", "v_a0", at_least=0)
-        _require(
-            self.dq_of_pd <= self.dq_of_md,
-            "dq_of_pd",
-            "post-discharge offset cannot exceed the mid-discharge offset",
-        )
+        _store_floats(self, "c_s_eff", "dq_of_md", "v_a0", at_least=0)
 
     def with_current(self, i_star: float) -> "CellDesign":
         """Copy of this cell running at a different discharge current."""
@@ -149,6 +146,13 @@ class MultiplierSpec:
     Bit 0 is the fastest cell; bit i runs at i_star_fastest / 2**i and
     contributes 2**i times the unit referential delay. weight_bits is a
     list or tuple of 0s and 1s and defaults to all n_bits bits set.
+
+    This is the package's one meaning of "n bits": an n-bit multiplier has
+    n cells, and the slowest runs at i_star_fastest * 2**-(n - 1). The
+    multiplier, the bias network and the energy model build those n cells.
+    design_space checks constraints 2 and 3 at i_star_fastest * 2**-n, one
+    halving slower, so every design point it calls feasible for n bits is
+    feasible for this multiplier, with a margin of one halving.
     """
 
     n_bits: int = 5

@@ -102,3 +102,14 @@ def test_gallop_finds_the_first_true_index():
 
             assert ds._gallop(pred, size) == first
             assert len(probes) <= 2 * size.bit_length() + 2
+
+
+def test_calibrate_writes_only_a_scale_maxbits_reads(run, tmp_path, capsys):
+    # k1 = 1e300 makes x * var_td / a_ref underflow to 0 on the low sd/td
+    # rays; such a scale must be neither searched nor written
+    config = tmp_path / "k1.json"
+    config.write_text('{"k1": 1e300}')
+    calibrated = run("calibrate", "--grid-points", 16, "--config", config)
+    read = run("maxbits", "--epsilon-grid", "1:3:3", "--grid-points", 16, "--config", config, "--out", "m.csv")
+    assert calibrated in (0, 2), capsys.readouterr().err
+    assert calibrated == 2 or read == 0, capsys.readouterr().err

@@ -121,10 +121,5 @@ def test_unit_scale_null_gives_uncalibrated_fit():
     assert not cfg.fit.calibrated
 
 
-def test_dq_offset_ordering_enforced():
-    with pytest.raises(FieldValidationError, match="dq_of_pd"):
-        resolve_config({"dq_of_md": 0.4e-15, "dq_of_pd": 0.5e-15})
-
-
 def test_default_config_is_pure():
     assert default_config().to_dict() == default_config().to_dict()

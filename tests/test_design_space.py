@@ -1,17 +1,22 @@
+import json
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from delaymac import design_space as ds
+from delaymac.cell import initial_drop, td_linearity_margin
 from delaymac.errors import (
     CalibrationError,
     FieldValidationError,
     InfeasibleRegionError,
     UncalibratedFitError,
 )
-from delaymac.params import DEFAULT_UNIT_SCALE, CellDesign, JitterFit, TechnologyProfile
+from delaymac.jitter import total_jitter
+from delaymac.params import DEFAULT_UNIT_SCALE, CellDesign, JitterFit, MultiplierSpec, TechnologyProfile
 
 DESIGN_C = 2.2e-15
 DESIGN_I = 1e-6
@@ -335,3 +340,38 @@ class TestCalibrationTargets:
     def test_target_list_required(self, cell, tech, fit):
         with pytest.raises(FieldValidationError, match="targets"):
             ds.calibrate_units({"kind": "max_bits", "bits": 5}, fit, tech, cell)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_feasible_points_hold_for_the_multipliers_slowest_cell(cell, tech, fit, grids, n):
+    # design_space checks the cell at 2**-n times the fastest current, one
+    # halving below the slowest of the multiplier's n cells (MultiplierSpec),
+    # so both constraints must hold there with room to spare
+    region = ds.constraint_region(n, *grids, cell, tech, fit)
+    points = np.argwhere(region.feasible)
+    assert points.size
+    for ci, ii in points.tolist():
+        c_star, i_star = float(region.grid_cstar[ci]), float(region.grid_istar[ii])
+        slowest = MultiplierSpec(n_bits=n, i_star_fastest=i_star).bit_current(n - 1)
+        slow = replace(cell, c_star=c_star, i_star=slowest)
+        budget = ds.JITTER_MARGIN_FRACTION * cell.c_s_eff / i_star
+        assert 3 * total_jitter(slow, fit).sigma_total <= budget
+        dv0 = initial_drop(tech.v_dd, slow, tech).dv0
+        assert td_linearity_margin(slow, tech, dv0) > 1
+
+
+@pytest.mark.parametrize("command, config", [
+    ("region", {"p1": 1e6}),
+    ("region", {"p1": 300}),
+    ("calibrate", {"k1": 1e300}),
+])
+def test_extreme_fits_end_without_numpy_warnings(run, tmp_path, capsys, command, config):
+    # an infinite jitter term reads as margin 0, so nothing is worth a warning
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    args = ("--bits", 5, "--out", "r.csv") if command == "region" else ()
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(command, "--grid-points", 16, "--config", path, *args) == 2
+    assert capsys.readouterr().err.count("\n") == 1

@@ -26,22 +26,6 @@ class TestCapEnergy:
             en.cap_energy(0.0, tech)
 
 
-class TestShortCircuit:
-    def test_vanishes_at_infinite_rate(self, tech):
-        assert en.short_circuit_energy(1e30, tech) < 1e-30
-
-    def test_inverse_in_rate(self, tech):
-        one = en.short_circuit_energy(1e9, tech)
-        half_rate = en.short_circuit_energy(0.5e9, tech)
-        assert half_rate == pytest.approx(2 * one, rel=1e-12, abs=0)
-
-    def test_exponential_blowup_per_cell(self, tech):
-        r0 = 4.5e8
-        base = en.short_circuit_energy(r0, tech)
-        for i in range(6):
-            assert en.short_circuit_energy(r0 / 2**i, tech) == 2**i * base
-
-
 class TestMacEnergy:
     def test_sense_total_near_reference(self, cell, tech, spec31):
         breakdown = en.mac_energy(spec31, cell, tech)

@@ -30,25 +30,19 @@ def read_trials(path):
     return [float(line.split(",")[1]) for line in lines]
 
 
-@pytest.mark.parametrize("pair_factor", [1, 2])
-def test_trial_zero_is_the_traced_chain(cell, tech, fit, spec31, pair_factor):
-    trials = mu.simulate_chain(
-        WEIGHTS, V_AS, spec31, cell, tech, fit=fit, seed=5, trials=300, pair_factor=pair_factor
-    ).deltas
-    chain = mu.simulate_chain(
-        WEIGHTS, V_AS, spec31, cell, tech, fit=fit, seed=5, pair_factor=pair_factor
-    )
+def test_trial_zero_is_the_traced_chain(cell, tech, fit, spec31):
+    trials = mu.simulate_chain(WEIGHTS, V_AS, spec31, cell, tech, fit=fit, seed=5, trials=300).deltas
+    chain = mu.simulate_chain(WEIGHTS, V_AS, spec31, cell, tech, fit=fit, seed=5)
     total, trace = chain.deltas[0], chain.trace(WEIGHTS, V_AS)
     assert trials[0] == total
     assert sum(s.delta_t for s in trace) == pytest.approx(total, rel=1e-12, abs=0)
     assert len(set(trials.tolist())) == 300
 
 
-@pytest.mark.parametrize("pair_factor, want", [(1, -1.683338933094502e-09), (2, -1.6998181762563582e-09)])
-def test_seeded_single_multiply_values(cell, tech, fit, pair_factor, want):
+def test_seeded_single_multiply_values(cell, tech, fit):
     spec = MultiplierSpec.from_weight(21, 5)
-    res = mu.simulate_multiply(EV0, spec, 1.1, cell, tech, fit=fit, seed=42, pair_factor=pair_factor)
-    assert res.delta_t == want
+    res = mu.simulate_multiply(EV0, spec, 1.1, cell, tech, fit=fit, seed=42)
+    assert res.delta_t == -1.683338933094502e-09
 
 
 def test_nonlinear_bits_match_scalar_latch_delay(cell, tech, spec31):
@@ -108,25 +102,22 @@ def test_cli_rejects_wide_weights(fails_cleanly, tmp_path, weights):
     assert not (tmp_path / "w.csv").exists()
 
 
-def traversed_sigmas(weights, spec, cell, fit, pair_factor):
-    """Signed sigma of every traversed cell, stage-major, then bit, then path."""
+def traversed_sigmas(weights, spec, cell, fit):
+    """Signed sigma of every traversed cell, stage-major, then bit."""
     out = []
     for w in weights:
         sign = -1.0 if w < 0 else 1.0
         for i in range(spec.n_bits):
             if abs(w) >> i & 1:
                 sigma = total_jitter(cell.with_current(spec.bit_current(i)), fit).sigma_total
-                out.extend([sign * sigma, -sign * sigma][:pair_factor])
+                out.append(sign * sigma)
     return out
 
 
-@pytest.mark.parametrize("pair_factor", [1, 2])
-def test_later_trials_are_one_normal_each(cell, tech, fit, spec31, pair_factor):
+def test_later_trials_are_one_normal_each(cell, tech, fit, spec31):
     trials, seed = 200, 23
-    got = mu.simulate_chain(
-        WEIGHTS, V_AS, spec31, cell, tech, fit=fit, seed=seed, trials=trials, pair_factor=pair_factor
-    ).deltas
-    w = traversed_sigmas(WEIGHTS, spec31, cell, fit, pair_factor)
+    got = mu.simulate_chain(WEIGHTS, V_AS, spec31, cell, tech, fit=fit, seed=seed, trials=trials).deltas
+    w = traversed_sigmas(WEIGHTS, spec31, cell, fit)
     rng = np.random.Generator(np.random.PCG64(seed))
     rng.standard_normal(len(w))  # trial 0's per-cell normals
     quiet = mu.simulate_chain(WEIGHTS, V_AS, spec31, cell, tech, trials=1).deltas[0]
@@ -135,13 +126,10 @@ def test_later_trials_are_one_normal_each(cell, tech, fit, spec31, pair_factor):
     np.testing.assert_allclose(got[1:], want, rtol=0, atol=1e-12 * scale)
 
 
-@pytest.mark.parametrize("pair_factor", [1, 2])
-def test_mixed_sign_chain_variance(cell, tech, fit, spec31, pair_factor):
-    deltas = mu.simulate_chain(
-        WEIGHTS, V_AS, spec31, cell, tech, fit=fit, seed=31, trials=100_000, pair_factor=pair_factor
-    ).deltas
+def test_mixed_sign_chain_variance(cell, tech, fit, spec31):
+    deltas = mu.simulate_chain(WEIGHTS, V_AS, spec31, cell, tech, fit=fit, seed=31, trials=100_000).deltas
     want = sum(
-        total_jitter(cell.with_current(spec31.bit_current(i)), fit, pair_factor=pair_factor).sigma_total ** 2
+        total_jitter(cell.with_current(spec31.bit_current(i)), fit).sigma_total ** 2
         for w in WEIGHTS for i in range(spec31.n_bits) if abs(w) >> i & 1
     )
     assert np.var(deltas, ddof=1) == pytest.approx(want, rel=0.05, abs=0)

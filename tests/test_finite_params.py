@@ -9,8 +9,8 @@ from delaymac.errors import FieldValidationError
 from delaymac.params import CellDesign, JitterFit, MultiplierSpec, TechnologyProfile
 
 FLOAT_FIELDS = [
-    (TechnologyProfile, ("v_dd", "v_thn", "v_thp", "temperature", "v_t", "i_0", "gamma", "mu_wl_cox")),
-    (CellDesign, ("c_star", "c_s_eff", "dq_of_md", "dq_of_pd", "c_re", "i_star", "v_a0")),
+    (TechnologyProfile, ("v_dd", "v_thn", "v_thp", "temperature", "v_t", "i_0", "gamma")),
+    (CellDesign, ("c_star", "c_s_eff", "dq_of_md", "c_re", "i_star", "v_a0")),
     (MultiplierSpec, ("i_star_fastest", "v_a0")),
     (JitterFit, ("k1", "p1", "k2", "q2")),
 ]

@@ -90,12 +90,6 @@ class TestBudget:
         b = jt.JitterBudget(var_sd=3e-24, var_td=1e-24)
         assert a.sigma_total == b.sigma_total
 
-    def test_pair_factor_doubles(self, cell, fit):
-        single = jt.total_jitter(cell, fit, pair_factor=1)
-        double = jt.total_jitter(cell, fit, pair_factor=2)
-        assert double.var_sd == pytest.approx(2 * single.var_sd, rel=1e-12, abs=0)
-        assert double.var_td == pytest.approx(2 * single.var_td, rel=1e-12, abs=0)
-
     def test_design_point_meets_jitter_budget(self, cell, fit, spec31):
         # slowest cell of the 5-bit design against the fastest cell's margin
         slow = cell.with_current(spec31.i_star_fastest / 2**5)
