@@ -3,7 +3,7 @@ delay-domain mixed-signal multiply-accumulate cells."""
 
 __version__ = "0.1.0"
 
-from .config import ResolvedConfig, default_config, dump_config, load_config
+from .config import ResolvedConfig, default_config, load_config
 from .params import (
     DEFAULT_UNIT_SCALE,
     INPUT_FLOOR_V,
@@ -25,7 +25,6 @@ __all__ = [
     "ResolvedConfig",
     "TechnologyProfile",
     "default_config",
-    "dump_config",
     "load_config",
     "parse_quantity",
     "thermal_voltage",

@@ -12,56 +12,24 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 from .errors import RegimeError
 from .params import CellDesign, TechnologyProfile
 
-#: Linearity margin above which the latch delay is treated as affine in dv0.
-LINEARIZED_MARGIN = 10.0
 
+def initial_drop(v_a: float, cell: CellDesign, tech: TechnologyProfile) -> float:
+    """Drop dv0 of the storage-cap voltage below v_dd, in volts:
+    (c_s_eff/c_star) * max(v_a - v_thn, 0) + dq_of/c_star.
 
-@dataclass(frozen=True)
-class InitResult:
-    """Outcome of the voltage-initialization step.
-
-    dv0 is the initial drop of the storage-cap voltage below v_dd. Within
-    the validity region (c_star above init_validity_min_cstar) it satisfies
-    0 <= dv0 < v_dd. clamped marks inputs at or below v_thn, where the
-    charge-sharing term vanishes and only the fixed offset remains.
-    """
-
-    dv0: float
-    clamped: bool
-
-
-@dataclass(frozen=True)
-class LatchResult:
-    """Latch firing time and the latch point it corresponds to.
-
-    linearized is True when the exponential detector is deep enough in its
-    steep region (margin >= LINEARIZED_MARGIN) that the delay is affine in
-    dv0 to good approximation.
-    """
-
-    t_d: float
-    dv_th: float
-    linearized: bool
-
-
-def initial_drop(v_a: float, cell: CellDesign, tech: TechnologyProfile) -> InitResult:
-    """Initial voltage drop dv0 = (c_s_eff/c_star) * max(v_a - v_thn, 0) + dq_of/c_star.
-
-    The charge-sharing term is clamped at zero below threshold instead of
-    erroring; the model stays total and the multiplier layer enforces the
-    practical input floor.
+    Within the validity region (c_star above init_validity_min_cstar),
+    0 <= dv0 < v_dd. The charge-sharing term is clamped at zero below
+    threshold instead of erroring; the model stays total and the
+    multiplier layer enforces the practical input floor.
     """
     if not 0 <= v_a <= tech.v_dd:
         raise RegimeError(f"v_a={v_a} outside [0, v_dd={tech.v_dd}]")
-    clamped = v_a <= tech.v_thn
-    linear = 0.0 if clamped else (cell.c_s_eff / cell.c_star) * (v_a - tech.v_thn)
-    dv0 = linear + cell.dq_of_md / cell.c_star
-    return InitResult(dv0=dv0, clamped=clamped)
+    linear = 0.0 if v_a <= tech.v_thn else (cell.c_s_eff / cell.c_star) * (v_a - tech.v_thn)
+    return linear + cell.dq_of_md / cell.c_star
 
 
 def init_validity_min_cstar(cell: CellDesign, tech: TechnologyProfile) -> float:
@@ -72,16 +40,6 @@ def init_validity_min_cstar(cell: CellDesign, tech: TechnologyProfile) -> float:
     against the returned bound.
     """
     return (cell.c_s_eff * (tech.v_dd - tech.v_thn) + cell.dq_of_md) / tech.v_thn
-
-
-def referential_delay_ideal(v_a: float, cell: CellDesign) -> float:
-    """Referential delay -(c_s_eff/i_star) * (v_a - v_a0).
-
-    Exactly affine in v_a and independent of c_star: the storage cap cancels
-    between the variable and reference cell of a pair. Negative for
-    v_a > v_a0.
-    """
-    return -(cell.c_s_eff / cell.i_star) * (v_a - cell.v_a0)
 
 
 def _latch_log_const(cell: CellDesign, tech: TechnologyProfile) -> float:
@@ -125,22 +83,20 @@ def latch_point(cell: CellDesign, tech: TechnologyProfile) -> float:
     return tech.v_t * math.log(arg)
 
 
-def latch_delay(dv0: float, cell: CellDesign, tech: TechnologyProfile) -> LatchResult:
-    """Exact latch firing time for an initial drop dv0.
+def latch_delay(dv0: float, cell: CellDesign, tech: TechnologyProfile) -> float:
+    """Exact latch firing time t_d, in seconds, for an initial drop dv0.
 
     t_d = (v_t/R) * ln(margin + 1) where margin is td_linearity_margin(dv0).
     In the steep-detector limit (margin >> 1) this is affine in dv0 with
-    slope -1/R; the linearized flag reports margin >= LINEARIZED_MARGIN.
+    slope -1/R, and dv0 + R * t_d approaches latch_point.
     """
     if dv0 >= tech.v_thp:
         raise RegimeError(
             f"dv0={dv0} >= v_thp={tech.v_thp}: detector leaves the exponential regime"
         )
-    dv_th = latch_point(cell, tech)
+    latch_point(cell, tech)  # raises RegimeError where the latch point is ill-defined
     margin = td_linearity_margin(cell, tech, dv0_max=dv0)
-    r = cell.ramp_rate
-    t_d = (tech.v_t / r) * math.log1p(margin)
-    return LatchResult(t_d=t_d, dv_th=dv_th, linearized=margin >= LINEARIZED_MARGIN)
+    return (tech.v_t / cell.ramp_rate) * math.log1p(margin)
 
 
 def td_linearity_margin(cell: CellDesign, tech: TechnologyProfile, dv0_max: float) -> float:

@@ -59,9 +59,6 @@ class ResolvedConfig:
                 out[key] = list(value) if isinstance(value, tuple) else value
         return out
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
     def digest(self) -> str:
         """Hex digest identifying the resolved configuration."""
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -133,8 +130,3 @@ def load_config(path: Union[str, Path]) -> ResolvedConfig:
 def default_config() -> ResolvedConfig:
     """The all-defaults configuration."""
     return resolve_config({}, source=None)
-
-
-def dump_config(config: ResolvedConfig, path: Union[str, Path]) -> None:
-    """Serialize every resolved value; reloading reproduces them bit-for-bit."""
-    Path(path).write_text(config.to_json() + "\n")

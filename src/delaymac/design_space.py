@@ -232,9 +232,12 @@ class _ConstraintTables:
         self.c1_start = int(np.searchsorted(self.c_grid, init_validity_min_cstar(cell, tech), "right"))
         # detector margin at n = 0 is (i / C) * row factor * v_thn / v_t, with
         # the initialization drop for v_a = v_dd, where it is worst; halving
-        # the slowest current halves it exactly
-        dv0_vdd = (cell.c_s_eff * (tech.v_dd - tech.v_thn) + cell.dq_of_md) / self.c_grid
-        self._margin_rows = cell.c_re / (tech.i_0 * np.exp(dv0_vdd / tech.v_t))
+        # the slowest current halves it exactly. Overflow has a defined meaning
+        # here: an infinite drop or exp makes a row factor 0, so constraint 2
+        # fails on the row; an infinite quotient makes it inf, so c2 holds
+        with np.errstate(over="ignore"):
+            dv0_vdd = (cell.c_s_eff * (tech.v_dd - tech.v_thn) + cell.dq_of_md) / self.c_grid
+            self._margin_rows = cell.c_re / (tech.i_0 * np.exp(dv0_vdd / tech.v_t))
         self._margin_volts = tech.v_thn / tech.v_t
         self.rhs0 = JITTER_MARGIN_FRACTION * cell.c_s_eff / self.i_grid
         # the front's terms (a, b) and c_grid rows, and the last unit scale
@@ -251,7 +254,8 @@ class _ConstraintTables:
         halving = np.repeat([2.0**-n for n in ns], rows)
 
         def meets(j):
-            return (self.i_grid[j] / c) * f * self._margin_volts * halving > 1.0
+            with np.errstate(over="ignore"):  # an infinite margin meets c2, as in __init__
+                return (self.i_grid[j] / c) * f * self._margin_volts * halving > 1.0
 
         return _first_true(meets, self.i_grid.size, lane_rows.size).reshape(len(ns), rows)
 
@@ -468,10 +472,6 @@ class CalibrationResult:
     convention: str
     tied_scales: int = 1
 
-    @property
-    def all_met(self) -> bool:
-        return all(self.targets_met)
-
     def to_dict(self) -> dict:
         return {
             "unit_scale": list(self.unit_scale),
@@ -622,14 +622,16 @@ def calibrate_units(
     n_ref = int(opt_target["n"]) if opt_target else (int(mb_target["bits"]) if mb_target else 5)
     try:
         a_ref, b_ref = tables.jitter_terms(n_ref, c_ref, i_ref)
+        budget = (JITTER_MARGIN_FRACTION * cell_template.c_s_eff / i_ref) ** 2 / 9.0
     except (OverflowError, ZeroDivisionError):  # a float power left the float range
-        a_ref = b_ref = math.inf
-    if not (0.0 < a_ref < math.inf and 0.0 < b_ref < math.inf):
+        a_ref = b_ref = budget = math.inf
+    # a zero budget (c_s_eff = 0) is a margin no scale meets, which the search reports
+    if not (0.0 < a_ref < math.inf and 0.0 < b_ref < math.inf and budget < math.inf):
         raise RegimeError(
-            f"the jitter terms at the reference point (n={n_ref}, c_star={c_ref:.4g} F, i_star={i_ref:.4g} A) "
-            "leave the float range, so no finite unit scale meets the targets"
+            f"the jitter terms or budget at the reference point (n={n_ref}, c_star={c_ref:.4g} F, "
+            f"i_star={i_ref:.4g} A, c_s_eff={cell_template.c_s_eff:.4g} F) leave the float range, "
+            "so no finite unit scale meets the targets"
         )
-    budget = (JITTER_MARGIN_FRACTION * cell_template.c_s_eff / i_ref) ** 2 / 9.0
 
     candidates: List[Tuple[float, Tuple[float, float], Tuple[bool, ...], str]] = []
 

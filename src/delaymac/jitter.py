@@ -72,9 +72,19 @@ def td_jitter_fitted(cell: CellDesign, fit: JitterFit) -> float:
     """Fitted threshold-detector variance s2 * k2 * (c_star/i_star)**q2, seconds^2.
 
     Depends on the design only through the ramp rate R = i_star/c_star.
+    Raises RegimeError when the variance leaves the float range.
     """
     _, s2 = require_calibrated(fit)
-    return s2 * fit.k2 * (cell.c_star / cell.i_star) ** fit.q2
+    try:
+        var = s2 * fit.k2 * (cell.c_star / cell.i_star) ** fit.q2
+    except OverflowError:  # (c_star/i_star)**q2 left the float range; q2 > 0, so 0.0**q2 is 0
+        var = math.inf
+    if not math.isfinite(var):
+        raise RegimeError(
+            f"the threshold-detector variance s2 * k2 * (c_star/i_star)**q2 at c_star={cell.c_star:.4g} F, "
+            f"i_star={cell.i_star:.4g} A, q2={fit.q2:.4g} leaves the float range"
+        )
+    return var
 
 
 def total_jitter(cell: CellDesign, fit: JitterFit) -> JitterBudget:

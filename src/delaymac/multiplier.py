@@ -12,7 +12,8 @@ whole (stage, bit) array in closed form, each stage's set bits summed in
 increasing i before its sign is applied, and event times and the chain total
 as cumulative sums over stages. Every other view is one call of it:
 simulate_multiply is its one-stage case, differential_multiply a two-stage
-chain read stage by stage, and a transfer_sweep row one stage of trial 0.
+chain read stage by stage, and a transfer_sweep row one stage of a noise-free
+chain.
 
 Jitter needs a fit and a seed; without either, every trial is the
 deterministic total. The draw is the package's one jitter stream,
@@ -48,17 +49,10 @@ class ReferentialEvent:
     t_var: float = 0.0
     t_ref: float = 0.0
 
-    @property
-    def referential_delay(self) -> float:
-        return self.t_var - self.t_ref
-
 
 @dataclass(frozen=True)
 class MultiplyResult:
-    out: ReferentialEvent
     delta_t: float
-    per_bit_delays: Tuple[float, ...]
-    warnings: Tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -150,12 +144,12 @@ def simulate_chain(
     t_base, sigma = np.zeros(template.n_bits), np.zeros(template.n_bits)
     for i in np.flatnonzero(bits.any(axis=0)):  # per-bit constants of the columns in use
         cell_i = cell.with_current(float(i_star[i]))
-        dv0_ref = initial_drop(v_a0, cell_i, tech).dv0
+        dv0_ref = initial_drop(v_a0, cell_i, tech)
         sigma[i] = total_jitter(cell_i, fit).sigma_total if noisy else 0.0
         if model == "ideal":
             t_base[i] = (cell_i.c_star / cell_i.i_star) * (latch_point(cell_i, tech) - dv0_ref)
         else:
-            t_base[i] = latch_delay(dv0_ref, cell_i, tech).t_d
+            t_base[i] = latch_delay(dv0_ref, cell_i, tech)
     if model == "ideal":
         rd = unit * dv + distortion
     else:  # cell.initial_drop and cell.latch_delay over the whole array
@@ -193,27 +187,18 @@ def simulate_multiply(
     v_a: float,
     cell: CellDesign,
     tech: TechnologyProfile,
-    model: str = "ideal",
-    fit: Optional[JitterFit] = None,
-    seed: Optional[SeedLike] = None,
     distortion_alpha: float = 0.0,
 ) -> MultiplyResult:
-    """Propagate an event pair through one multiplier (a one-stage chain).
+    """Propagate an event pair through one ideal multiplier (a one-stage chain).
 
-    With the ideal model delta_t is exactly
-    sign * -(c_s_eff / i_star_fastest) * (v_a - v_a0) * W. Jitter attaches to
-    cells, not wires, so sign antisymmetry is exact at a fixed seed.
+    Returns the multiplier's referential delay delta_t, in seconds: exactly
+    sign * -(c_s_eff / i_star_fastest) * (v_a - v_a0) * W, plus the injected
+    distortion_alpha term of every set bit.
     """
     run = simulate_chain(
-        [spec.sign * spec.weight_value], [v_a], spec, cell, tech, model=model, fit=fit, seed=seed,
-        ev_in=ev_in, distortion_alpha=distortion_alpha,
+        [spec.sign * spec.weight_value], [v_a], spec, cell, tech, ev_in=ev_in, distortion_alpha=distortion_alpha,
     )
-    return MultiplyResult(
-        out=ReferentialEvent(*run.events[1].tolist()),
-        delta_t=float(run.stage_deltas[0]),
-        per_bit_delays=tuple(run.per_bit[0].tolist()),
-        warnings=run.warnings,
-    )
+    return MultiplyResult(delta_t=float(run.stage_deltas[0]))
 
 
 def differential_multiply(
@@ -243,26 +228,18 @@ def transfer_sweep(
     cell: CellDesign,
     tech: TechnologyProfile,
     model: str = "ideal",
-    fit: Optional[JitterFit] = None,
-    seed: Optional[int] = None,
 ) -> List[dict]:
-    """Transfer-characteristic table over a weight set and an input grid.
+    """Noise-free transfer-characteristic table over a weight set and an input grid.
 
-    Each row, weight-major, is one stage of trial 0 of a chain. Row keys: v_a,
-    w (weight magnitude), s (sign), delta_t_s, model, seed. delta_t_s keeps
-    the engine's sign: negative for v_a > v_a0 at a positive weight.
+    Each row, weight-major, is one stage of a chain under model. Row keys:
+    v_a, w (weight magnitude), s (sign) and delta_t_s, the stage's
+    referential delay in seconds. delta_t_s keeps the engine's sign:
+    negative for v_a > v_a0 at a positive weight.
     """
     w_runs = np.repeat(np.asarray(weights, dtype=np.int64), len(v_a_values)).tolist()
     v_runs = np.tile(np.asarray(v_a_values, dtype=float), len(weights)).tolist()
-    deltas = simulate_chain(w_runs, v_runs, template, cell, tech, model=model, fit=fit, seed=seed).stage_deltas
+    deltas = simulate_chain(w_runs, v_runs, template, cell, tech, model=model).stage_deltas
     return [
-        {
-            "v_a": v_a,
-            "w": abs(w),
-            "s": -1 if w < 0 else 1,
-            "delta_t_s": delta,
-            "model": model,
-            "seed": seed if seed is not None else "",
-        }
+        {"v_a": v_a, "w": abs(w), "s": -1 if w < 0 else 1, "delta_t_s": delta}
         for w, v_a, delta in zip(w_runs, v_runs, deltas.tolist())
     ]

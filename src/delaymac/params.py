@@ -113,8 +113,10 @@ class CellDesign:
 
     c_s_eff is the input-sampling capacitance including its parasitics and
     dq_of_md the charge offset measured mid-discharge, which the
-    initialization drop adds. v_a0 is the reference input; resolve_config
-    copies it to the MultiplierSpec, whose copy the multiplier reads.
+    initialization drop adds. v_a0 is the reference input's config key;
+    resolve_config copies it to the MultiplierSpec, whose copy the
+    multiplier reads. No model reads the cell's v_a0: it stays a field only
+    because perfbench/workloads.py sets it with dataclasses.replace.
     """
 
     c_star: float = 2.2e-15
@@ -176,12 +178,6 @@ class MultiplierSpec:
     def weight_value(self) -> int:
         """Unsigned integer weight W = sum w_i 2^i, in [0, 2^n - 1]."""
         return sum(b << i for i, b in enumerate(self.weight_bits))
-
-    def bit_current(self, i: int) -> float:
-        """Discharge current of the cell for bit i."""
-        if not 0 <= i < self.n_bits:
-            raise FieldValidationError("i", f"bit index out of range [0, {self.n_bits})")
-        return self.i_star_fastest / 2.0**i
 
     @classmethod
     def from_weight(

@@ -19,8 +19,6 @@ SUFFIX_EXPONENT = {
     "m": -3,
 }
 
-SUFFIX_SCALE = {k: float(f"1e{v}") for k, v in SUFFIX_EXPONENT.items()}
-
 _QUANTITY_RE = re.compile(
     r"^\s*(?P<num>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\s*(?P<suffix>[fpnum]?)\s*$"
 )

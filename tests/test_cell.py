@@ -1,7 +1,5 @@
 import math
-from dataclasses import replace
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
@@ -23,23 +21,18 @@ MARGIN_SLOWEST_5BIT = 2.887255406288315
 
 class TestInitialDrop:
     def test_offset_only_at_threshold(self, cell, tech):
-        res = ca.initial_drop(tech.v_thn, cell, tech)
-        assert res.dv0 == pytest.approx(DV0_AT_VTHN, rel=1e-12)
-        assert res.dv0 == pytest.approx(cell.dq_of_md / cell.c_star, rel=1e-12)
-        assert res.clamped
+        dv0 = ca.initial_drop(tech.v_thn, cell, tech)
+        assert dv0 == pytest.approx(DV0_AT_VTHN, rel=1e-12)
+        assert dv0 == pytest.approx(cell.dq_of_md / cell.c_star, rel=1e-12)
 
     def test_full_swing(self, cell, tech):
-        res = ca.initial_drop(1.2, cell, tech)
-        assert res.dv0 == pytest.approx(DV0_AT_VDD, rel=1e-12)
-        assert not res.clamped
+        assert ca.initial_drop(1.2, cell, tech) == pytest.approx(DV0_AT_VDD, rel=1e-12)
 
     def test_reference_input(self, cell, tech):
-        assert ca.initial_drop(0.75, cell, tech).dv0 == pytest.approx(DV0_AT_VA0, rel=1e-12)
+        assert ca.initial_drop(0.75, cell, tech) == pytest.approx(DV0_AT_VA0, rel=1e-12)
 
     def test_clamp_below_threshold(self, cell, tech):
-        res = ca.initial_drop(0.1, cell, tech)
-        assert res.clamped
-        assert res.dv0 == ca.initial_drop(0.0, cell, tech).dv0
+        assert ca.initial_drop(0.1, cell, tech) == ca.initial_drop(0.0, cell, tech)
 
     def test_out_of_range_input(self, cell, tech):
         with pytest.raises(RegimeError):
@@ -54,8 +47,7 @@ class TestInitialDrop:
         tech = TechnologyProfile()
         cell = CellDesign(c_star=c_star)
         assert cell.c_star > ca.init_validity_min_cstar(cell, tech)
-        res = ca.initial_drop(v_a, cell, tech)
-        assert 0 <= res.dv0 < tech.v_dd
+        assert 0 <= ca.initial_drop(v_a, cell, tech) < tech.v_dd
 
 
 class TestInitValidity:
@@ -74,35 +66,6 @@ class TestInitValidity:
         assert ca.init_validity_min_cstar(high, tech) == pytest.approx(
             2 * ca.init_validity_min_cstar(low, tech), rel=1e-12, abs=0
         )
-
-
-class TestReferentialDelay:
-    def test_zero_at_reference(self, cell):
-        assert ca.referential_delay_ideal(cell.v_a0, cell) == 0.0
-
-    def test_full_swing(self, cell):
-        assert ca.referential_delay_ideal(1.2, cell) == pytest.approx(-1.035e-10, rel=1e-12, abs=0)
-
-    def test_current_scaling(self, cell):
-        slow = cell.with_current(31.25e-9)
-        assert ca.referential_delay_ideal(1.2, slow) == pytest.approx(-3.312e-9, rel=1e-12, abs=0)
-        assert ca.referential_delay_ideal(1.2, slow) == pytest.approx(
-            32 * ca.referential_delay_ideal(1.2, cell), rel=1e-12, abs=0
-        )
-
-    def test_exactly_affine(self, cell, tech):
-        v = np.linspace(tech.v_thn + 0.05, tech.v_dd, 41)
-        delays = np.array([ca.referential_delay_ideal(x, cell) for x in v])
-        coeffs = np.polynomial.polynomial.polyfit(v, delays, 1)
-        residual = delays - np.polynomial.polynomial.polyval(v, coeffs)
-        assert np.max(np.abs(residual)) < 1e-12 * np.max(np.abs(delays))
-
-    @given(scale=st.floats(min_value=0.1, max_value=100.0))
-    @settings(max_examples=50)
-    def test_independent_of_cstar(self, scale):
-        base = CellDesign()
-        scaled = replace(base, c_star=base.c_star * scale)
-        assert ca.referential_delay_ideal(1.0, scaled) == ca.referential_delay_ideal(1.0, base)
 
 
 class TestVreTransient:
@@ -127,7 +90,7 @@ class TestVreTransient:
             xtol=1e-24,
         )
         assert t_root == pytest.approx(LATCH_DELAY_VDD, rel=1e-9, abs=0)
-        assert t_root == pytest.approx(ca.latch_delay(DV0_AT_VDD, cell, tech).t_d, rel=1e-9, abs=0)
+        assert t_root == pytest.approx(ca.latch_delay(DV0_AT_VDD, cell, tech), rel=1e-9, abs=0)
 
     def test_regime_error_above_vthp(self, cell, tech):
         with pytest.raises(RegimeError):
@@ -147,61 +110,49 @@ class TestLatchPoint:
         tiny = CellDesign(i_star=1e-15)
         with pytest.raises(RegimeError):
             ca.latch_point(tiny, tech)
+        with pytest.raises(RegimeError):
+            ca.latch_delay(0.1, tiny, tech)
 
 
 class TestLatchDelay:
     def test_default_point(self, cell, tech):
-        res = ca.latch_delay(DV0_AT_VDD, cell, tech)
-        assert res.t_d == pytest.approx(LATCH_DELAY_VDD, rel=1e-12, abs=0)
-        assert res.linearized
-
-    def test_dv_th_is_the_latch_point_for_any_dv0(self, cell, tech):
-        a = ca.latch_delay(0.1, cell, tech)
-        b = ca.latch_delay(0.35, cell, tech)
-        assert a.dv_th == b.dv_th == ca.latch_point(cell, tech)
+        assert ca.latch_delay(DV0_AT_VDD, cell, tech) == pytest.approx(LATCH_DELAY_VDD, rel=1e-12, abs=0)
 
     def test_log2_boundary(self, cell):
         # needs a detector threshold above the latch point to stay in regime
         tech = TechnologyProfile(v_thp=0.5)
         dv_th = ca.latch_point(cell, tech)
-        res = ca.latch_delay(dv_th, cell, tech)
         expected = tech.v_t * math.log(2) / cell.ramp_rate
-        assert res.t_d == pytest.approx(expected, rel=1e-9, abs=0)
-        assert not res.linearized
+        assert ca.latch_delay(dv_th, cell, tech) == pytest.approx(expected, rel=1e-9, abs=0)
 
     @given(st.floats(min_value=0.0, max_value=0.36), st.floats(min_value=0.001, max_value=0.01))
     @settings(max_examples=100)
     def test_strictly_decreasing_in_dv0(self, dv0, step):
         cell, tech = CellDesign(), TechnologyProfile()
-        assert ca.latch_delay(dv0 + step, cell, tech).t_d < ca.latch_delay(dv0, cell, tech).t_d
+        assert ca.latch_delay(dv0 + step, cell, tech) < ca.latch_delay(dv0, cell, tech)
 
     def test_linearized_slope(self, cell, tech):
         a, b = 0.10, 0.30
-        ra, rb = ca.latch_delay(a, cell, tech), ca.latch_delay(b, cell, tech)
-        assert ra.linearized and rb.linearized
-        exact_diff = ra.t_d - rb.t_d
+        exact_diff = ca.latch_delay(a, cell, tech) - ca.latch_delay(b, cell, tech)
         linear_diff = -(a - b) / cell.ramp_rate
         assert exact_diff == pytest.approx(linear_diff, rel=0.01)
 
     def test_linear_form_accuracy_when_flagged(self, cell, tech):
         # at high margin the log1p form collapses onto the affine form
         dv0 = 0.15
-        res = ca.latch_delay(dv0, cell, tech)
-        assert res.linearized
+        t_d = ca.latch_delay(dv0, cell, tech)
         r = cell.ramp_rate
         linear = (tech.v_t / r) * math.log(ca._latch_log_const(cell, tech)) - dv0 / r
-        assert abs(res.t_d - linear) / res.t_d < 0.01
+        assert abs(t_d - linear) / t_d < 0.01
 
     def test_latch_point_identity(self, cell, tech):
         for dv0 in (0.05, 0.15, 0.25, 0.319):
-            res = ca.latch_delay(dv0, cell, tech)
-            assert res.linearized
-            reconstructed = dv0 + cell.ramp_rate * res.t_d
+            reconstructed = dv0 + cell.ramp_rate * ca.latch_delay(dv0, cell, tech)
             assert reconstructed == pytest.approx(ca.latch_point(cell, tech), rel=0.01)
 
     def test_vre_at_latch_delay_hits_threshold(self, cell, tech):
         for dv0 in (0.05, 0.2, 0.3):
-            t_d = ca.latch_delay(dv0, cell, tech).t_d
+            t_d = ca.latch_delay(dv0, cell, tech)
             assert ca.vre_transient(t_d, dv0, cell, tech) == pytest.approx(tech.v_thn, rel=0.005)
 
 

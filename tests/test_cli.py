@@ -107,8 +107,8 @@ class TestSimulate:
         cell, fit = CellDesign(), JitterFit()
         spec = MultiplierSpec.from_weight(31, 5)
         model_var = sum(
-            total_jitter(cell.with_current(spec.bit_current(i)), fit).var_sd
-            + total_jitter(cell.with_current(spec.bit_current(i)), fit).var_td
+            total_jitter(cell.with_current(spec.i_star_fastest / 2.0**i), fit).var_sd
+            + total_jitter(cell.with_current(spec.i_star_fastest / 2.0**i), fit).var_td
             for i in range(5)
         )
         assert sigma == pytest.approx(math.sqrt(model_var), rel=0.05)

@@ -10,9 +10,7 @@ import pytest
 from delaymac import multiplier as mu
 from delaymac.cell import initial_drop, latch_delay
 from delaymac.jitter import total_jitter
-from delaymac.params import MultiplierSpec
 
-EV0 = mu.ReferentialEvent()
 WEIGHTS = [31, -5, 0, 3, -16, 21, 7]
 V_AS = [1.0, 0.9, 0.4, 0.3, 1.2, 0.76, 0.1]
 
@@ -39,26 +37,25 @@ def test_trial_zero_is_the_traced_chain(cell, tech, fit, spec31):
     assert len(set(trials.tolist())) == 300
 
 
-def test_seeded_single_multiply_values(cell, tech, fit):
-    spec = MultiplierSpec.from_weight(21, 5)
-    res = mu.simulate_multiply(EV0, spec, 1.1, cell, tech, fit=fit, seed=42)
-    assert res.delta_t == -1.683338933094502e-09
+def test_seeded_single_multiply_values(cell, tech, fit, spec31):
+    run = mu.simulate_chain([21], [1.1], spec31, cell, tech, fit=fit, seed=42)
+    assert run.stage_deltas[0] == -1.683338933094502e-09
 
 
 def test_nonlinear_bits_match_scalar_latch_delay(cell, tech, spec31):
     v_as = list(np.linspace(0.075, 1.2, 16))
     run = mu.simulate_chain([31] * 16, v_as, spec31, cell, tech, model="nonlinear")
     for i in range(spec31.n_bits):
-        cell_i = cell.with_current(spec31.bit_current(i))
-        t_ref = latch_delay(initial_drop(cell.v_a0, cell_i, tech).dv0, cell_i, tech).t_d
+        cell_i = cell.with_current(spec31.i_star_fastest / 2.0**i)
+        t_ref = latch_delay(initial_drop(spec31.v_a0, cell_i, tech), cell_i, tech)
         for s, v_a in enumerate(v_as):
-            t_var = latch_delay(initial_drop(v_a, cell_i, tech).dv0, cell_i, tech).t_d
+            t_var = latch_delay(initial_drop(v_a, cell_i, tech), cell_i, tech)
             assert abs(run.per_bit[s, i] - (t_var - t_ref)) <= 1e-12 * t_var
 
 
-def test_sweep_rows_are_stages_of_trial_zero(cell, tech, fit, spec31):
-    rows = mu.transfer_sweep(spec31, [0.5, 1.1], [3, -7], cell, tech, fit=fit, seed=8)
-    run = mu.simulate_chain([3, 3, -7, -7], [0.5, 1.1, 0.5, 1.1], spec31, cell, tech, fit=fit, seed=8)
+def test_sweep_rows_are_stages_of_trial_zero(cell, tech, spec31):
+    rows = mu.transfer_sweep(spec31, [0.5, 1.1], [3, -7], cell, tech)
+    run = mu.simulate_chain([3, 3, -7, -7], [0.5, 1.1, 0.5, 1.1], spec31, cell, tech)
     assert [r["delta_t_s"] for r in rows] == run.stage_deltas.tolist()
 
 
@@ -109,7 +106,7 @@ def traversed_sigmas(weights, spec, cell, fit):
         sign = -1.0 if w < 0 else 1.0
         for i in range(spec.n_bits):
             if abs(w) >> i & 1:
-                sigma = total_jitter(cell.with_current(spec.bit_current(i)), fit).sigma_total
+                sigma = total_jitter(cell.with_current(spec.i_star_fastest / 2.0**i), fit).sigma_total
                 out.append(sign * sigma)
     return out
 
@@ -129,7 +126,7 @@ def test_later_trials_are_one_normal_each(cell, tech, fit, spec31):
 def test_mixed_sign_chain_variance(cell, tech, fit, spec31):
     deltas = mu.simulate_chain(WEIGHTS, V_AS, spec31, cell, tech, fit=fit, seed=31, trials=100_000).deltas
     want = sum(
-        total_jitter(cell.with_current(spec31.bit_current(i)), fit).sigma_total ** 2
+        total_jitter(cell.with_current(spec31.i_star_fastest / 2.0**i), fit).sigma_total ** 2
         for w in WEIGHTS for i in range(spec31.n_bits) if abs(w) >> i & 1
     )
     assert np.var(deltas, ddof=1) == pytest.approx(want, rel=0.05, abs=0)

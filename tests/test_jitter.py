@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from delaymac import jitter as jt
-from delaymac.errors import UncalibratedFitError
+from delaymac.errors import RegimeError, UncalibratedFitError
 from delaymac.params import CellDesign, JitterFit
 
 # frozen direct evaluations
@@ -43,6 +43,12 @@ class TestFitted:
         assert jt.td_jitter_fitted(scaled, fit) == pytest.approx(
             jt.td_jitter_fitted(cell, fit), rel=1e-12, abs=0
         )
+
+    @pytest.mark.parametrize("c_star, i_star", [(1e300, 1e-6), (1e300, 1e-300)],
+                             ids=["power-overflows", "ratio-overflows"])
+    def test_td_out_of_float_range_raises(self, fit, c_star, i_star):
+        with pytest.raises(RegimeError, match="float range"):
+            jt.td_jitter_fitted(CellDesign(c_star=c_star, i_star=i_star), fit)
 
     def test_uncalibrated_fit_raises(self, cell):
         raw = JitterFit(unit_scale=None)

@@ -50,11 +50,13 @@ NOISY = ["simulate", "--weights", "3,-2", "--va", "1.0,0.9", "--model", "noisy",
     "config, args",
     [
         *[(c, ["calibrate", "--grid-points", "16"])
-          for c in ({"k1": 1e-320}, {"k2": 1e-320}, {"q2": 1e6}, {"p1": 1e6}, {"k1": 1e308})],
-        *[(c, NOISY) for c in ({"i_star_fastest": 1e308}, {"i_star_fastest": 1e-320}, {"p1": 1e6})],
+          for c in ({"k1": 1e-320}, {"k2": 1e-320}, {"q2": 1e6}, {"p1": 1e6}, {"k1": 1e308}, {"c_s_eff": 1e300})],
+        *[(c, NOISY) for c in ({"i_star_fastest": 1e308}, {"i_star_fastest": 1e-320}, {"p1": 1e6},
+                               {"c_star": 1e300})],
     ],
     ids=["calibrate-k1-1e-320", "calibrate-k2-1e-320", "calibrate-q2-1e6", "calibrate-p1-1e6", "calibrate-k1-1e308",
-         "noisy-i_star_fastest-1e308", "noisy-i_star_fastest-1e-320", "noisy-p1-1e6"],
+         "calibrate-c_s_eff-1e300", "noisy-i_star_fastest-1e308", "noisy-i_star_fastest-1e-320", "noisy-p1-1e6",
+         "noisy-c_star-1e300"],
 )
 def test_jitter_variance_out_of_float_range_fails_cleanly(fails_cleanly, tmp_path, config, args):
     (tmp_path / "c.json").write_text(json.dumps(config))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,12 +18,11 @@ def ideal_delta(weight: int, v_a: float, v_a0: float = 0.75) -> float:
 
 
 class TestSimulateMultiply:
-    def test_full_bypass(self, cell, tech):
-        spec = MultiplierSpec.from_weight(0, 5)
-        res = mu.simulate_multiply(EV0, spec, 1.0, cell, tech)
-        assert res.delta_t == 0.0
-        assert res.per_bit_delays == (0.0,) * 5
-        assert res.out == EV0
+    def test_full_bypass(self, cell, tech, spec31):
+        run = mu.simulate_chain([0], [1.0], spec31, cell, tech)
+        assert run.stage_deltas[0] == 0.0
+        assert run.per_bit[0].tolist() == [0.0] * 5
+        assert mu.ReferentialEvent(*run.events[1].tolist()) == EV0
 
     def test_full_weight_reference_value(self, cell, tech, spec31):
         res = mu.simulate_multiply(EV0, spec31, 1.2, cell, tech)
@@ -35,54 +36,59 @@ class TestSimulateMultiply:
                 want = ideal_delta(weight, float(v_a))
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-30)
 
-    def test_relay_antisymmetry_exact(self, cell, tech, fit):
+    def test_relay_antisymmetry_exact(self, cell, tech, fit, spec31):
         for model in ("ideal", "nonlinear"):
             for seed in (None, 42):
                 kw = dict(model=model, fit=fit if seed is not None else None, seed=seed)
-                pos = mu.simulate_multiply(
-                    EV0, MultiplierSpec.from_weight(21, 5), 1.1, cell, tech, **kw
-                )
-                neg = mu.simulate_multiply(
-                    EV0, MultiplierSpec.from_weight(-21, 5), 1.1, cell, tech, **kw
-                )
-                assert neg.delta_t == -pos.delta_t
+                pos = mu.simulate_chain([21], [1.1], spec31, cell, tech, **kw).stage_deltas[0]
+                neg = mu.simulate_chain([-21], [1.1], spec31, cell, tech, **kw).stage_deltas[0]
+                assert neg == -pos
 
-    def test_relay_swaps_event_paths(self, cell, tech):
-        pos = mu.simulate_multiply(EV0, MultiplierSpec.from_weight(5, 5), 1.0, cell, tech)
-        neg = mu.simulate_multiply(EV0, MultiplierSpec.from_weight(-5, 5), 1.0, cell, tech)
-        assert pos.out.t_var == neg.out.t_ref
-        assert pos.out.t_ref == neg.out.t_var
+    def test_relay_swaps_event_paths(self, cell, tech, spec31):
+        pos_var, pos_ref = mu.simulate_chain([5], [1.0], spec31, cell, tech).events[1]
+        neg_var, neg_ref = mu.simulate_chain([-5], [1.0], spec31, cell, tech).events[1]
+        assert pos_var == neg_ref
+        assert pos_ref == neg_var
 
-    def test_output_event_consistent_with_delta(self, cell, tech):
-        spec = MultiplierSpec.from_weight(13, 5)
+    def test_output_event_consistent_with_delta(self, cell, tech, spec31):
         ev_in = mu.ReferentialEvent(t_var=3e-9, t_ref=2.5e-9)
-        res = mu.simulate_multiply(ev_in, spec, 0.9, cell, tech)
-        assert res.out.referential_delay - ev_in.referential_delay == pytest.approx(
-            res.delta_t, rel=1e-9, abs=1e-24
+        run = mu.simulate_chain([13], [0.9], spec31, cell, tech, ev_in=ev_in)
+        t_var, t_ref = run.events[1]
+        assert (t_var - t_ref) - (ev_in.t_var - ev_in.t_ref) == pytest.approx(
+            run.stage_deltas[0], rel=1e-9, abs=1e-24
         )
 
-    def test_bypassed_bits_contribute_nothing(self, cell, tech, fit):
-        spec = MultiplierSpec.from_weight(0b00100, 5)
-        res = mu.simulate_multiply(EV0, spec, 1.0, cell, tech, fit=fit, seed=3)
-        assert res.per_bit_delays[0] == res.per_bit_delays[1] == 0.0
-        assert res.per_bit_delays[3] == res.per_bit_delays[4] == 0.0
-        assert res.per_bit_delays[2] != 0.0
-        assert res.delta_t == res.per_bit_delays[2]
+    def test_bypassed_bits_contribute_nothing(self, cell, tech, fit, spec31):
+        run = mu.simulate_chain([0b00100], [1.0], spec31, cell, tech, fit=fit, seed=3)
+        per_bit = run.per_bit[0]
+        assert per_bit[0] == per_bit[1] == 0.0
+        assert per_bit[3] == per_bit[4] == 0.0
+        assert per_bit[2] != 0.0
+        assert run.stage_deltas[0] == per_bit[2]
 
-    def test_input_floor_warns_but_runs(self, cell, tech):
-        spec = MultiplierSpec.from_weight(1, 5)
-        res = mu.simulate_multiply(EV0, spec, 0.05, cell, tech)
-        assert res.warnings
-        assert "floor" in res.warnings[0]
+    def test_input_floor_warns_but_runs(self, cell, tech, spec31):
+        run = mu.simulate_chain([1], [0.05], spec31, cell, tech)
+        assert run.warnings
+        assert "floor" in run.warnings[0]
+
+    @given(scale=st.floats(min_value=0.1, max_value=100.0))
+    @settings(max_examples=50)
+    def test_ideal_delta_independent_of_cstar(self, scale):
+        # the storage cap cancels between the variable and reference cell of a pair
+        spec, base, tech = MultiplierSpec(), CellDesign(), TechnologyProfile()
+        scaled = replace(base, c_star=base.c_star * scale)
+        got = mu.simulate_multiply(EV0, spec, 1.0, scaled, tech).delta_t
+        assert got == mu.simulate_multiply(EV0, spec, 1.0, base, tech).delta_t
 
     def test_out_of_range_input_rejected(self, cell, tech):
         with pytest.raises(RegimeError):
             mu.simulate_multiply(EV0, MultiplierSpec.from_weight(1, 5), 1.3, cell, tech)
 
     def test_determinism(self, cell, tech, fit, spec31):
-        a = mu.simulate_multiply(EV0, spec31, 1.0, cell, tech, fit=fit, seed=11)
-        b = mu.simulate_multiply(EV0, spec31, 1.0, cell, tech, fit=fit, seed=11)
-        assert a == b
+        a = mu.simulate_chain([31], [1.0], spec31, cell, tech, fit=fit, seed=11)
+        b = mu.simulate_chain([31], [1.0], spec31, cell, tech, fit=fit, seed=11)
+        assert a.stage_deltas[0] == b.stage_deltas[0]
+        assert a.per_bit.tolist() == b.per_bit.tolist()
 
     @given(
         weight=st.integers(min_value=-31, max_value=31),
@@ -91,14 +97,10 @@ class TestSimulateMultiply:
     )
     @settings(max_examples=60, deadline=None)
     def test_sign_antisymmetry_property(self, weight, v_a, seed):
-        cell, tech, fit = CellDesign(), TechnologyProfile(), JitterFit()
-        pos = mu.simulate_multiply(
-            EV0, MultiplierSpec.from_weight(abs(weight), 5), v_a, cell, tech, fit=fit, seed=seed
-        )
-        neg = mu.simulate_multiply(
-            EV0, MultiplierSpec.from_weight(-abs(weight), 5), v_a, cell, tech, fit=fit, seed=seed
-        )
-        assert neg.delta_t == -pos.delta_t
+        spec, cell, tech, fit = MultiplierSpec(), CellDesign(), TechnologyProfile(), JitterFit()
+        pos = mu.simulate_chain([abs(weight)], [v_a], spec, cell, tech, fit=fit, seed=seed)
+        neg = mu.simulate_chain([-abs(weight)], [v_a], spec, cell, tech, fit=fit, seed=seed)
+        assert neg.stage_deltas[0] == -pos.stage_deltas[0]
 
 
 class TestJitterAccumulation:
@@ -109,8 +111,8 @@ class TestJitterAccumulation:
             [31], [1.0], spec, cell, tech, fit=fit, seed=2024, trials=trials
         ).deltas
         expected_var = sum(
-            total_jitter(cell.with_current(spec.bit_current(i)), fit).var_sd
-            + total_jitter(cell.with_current(spec.bit_current(i)), fit).var_td
+            total_jitter(cell.with_current(spec.i_star_fastest / 2.0**i), fit).var_sd
+            + total_jitter(cell.with_current(spec.i_star_fastest / 2.0**i), fit).var_td
             for i in range(5)
         )
         assert np.var(deltas, ddof=1) == pytest.approx(expected_var, rel=0.05, abs=0)
@@ -122,7 +124,7 @@ class TestJitterAccumulation:
         deltas = mu.simulate_chain(
             [16], [1.0], spec, cell, tech, fit=fit, seed=5, trials=trials
         ).deltas
-        slow = cell.with_current(spec.bit_current(4))
+        slow = cell.with_current(spec.i_star_fastest / 2.0**4)
         model = total_jitter(slow, fit)
         assert np.var(deltas, ddof=1) == pytest.approx(model.var_sd + model.var_td, rel=0.05, abs=0)
 
@@ -159,7 +161,7 @@ class TestDotProduct:
         chain = mu.simulate_chain([1, 1], [1.0, 1.0], spec31, cell, tech)
         total, trace = chain.deltas[0], chain.trace([1, 1], [1.0, 1.0])
         assert trace[1].event_in == trace[0].event_out
-        assert trace[-1].event_out.referential_delay == pytest.approx(total, rel=1e-9, abs=0)
+        assert trace[-1].event_out.t_var - trace[-1].event_out.t_ref == pytest.approx(total, rel=1e-9, abs=0)
 
     def test_weight_overflow(self, cell, tech, spec31):
         with pytest.raises(OverflowError):
@@ -229,9 +231,8 @@ class TestTransferSweep:
             assert u == pytest.approx(units[0], rel=1e-12, abs=0)
 
     def test_row_schema(self, cell, tech, spec31):
-        rows = mu.transfer_sweep(spec31, [0.9], [-3], cell, tech, seed=5)
+        rows = mu.transfer_sweep(spec31, [0.9], [-3], cell, tech)
         assert rows[0]["w"] == 3 and rows[0]["s"] == -1
-        assert rows[0]["model"] == "ideal" and rows[0]["seed"] == 5
 
     def test_nonlinear_deviation_grows_when_constraint_violated(self, cell, tech):
         from delaymac.cell import td_linearity_margin

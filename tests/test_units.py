@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from delaymac.errors import QuantityError
-from delaymac.units import SUFFIX_EXPONENT, SUFFIX_SCALE, coerce_quantity, format_number, parse_quantity
+from delaymac.units import SUFFIX_EXPONENT, coerce_quantity, format_number, parse_quantity
 
 
 def test_femto_suffix():
@@ -58,12 +58,12 @@ def test_format_parse_round_trip(x):
 
 @given(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
-    st.sampled_from(sorted(SUFFIX_SCALE)),
+    st.sampled_from(sorted(SUFFIX_EXPONENT)),
 )
 @example(3.2956212316547958e-295, "f")
 def test_suffix_equals_explicit_scale(mantissa, suffix):
     got = parse_quantity(f"{mantissa!r}{suffix}")
-    product = mantissa * SUFFIX_SCALE[suffix]
+    product = mantissa * float(f"1e{SUFFIX_EXPONENT[suffix]}")
     if abs(product) < sys.float_info.min:
         # zero or subnormal: the float product rounds twice (scale, then
         # product), so compare with the decimal scaling, rounded once
