@@ -98,7 +98,7 @@ class BiasPlan:
     def to_dict(self) -> dict:
         return {
             "n_bits": self.n_bits,
-            "widths": {k: list(v) if isinstance(v, list) else list(v) for k, v in self.widths.items()},
+            "widths": {k: list(v) for k, v in self.widths.items()},
             "currents": list(self.currents),
             "v_b1": list(self.v_b1),
             "v_b2": list(self.v_b2),

@@ -342,8 +342,9 @@ def cmd_simulate(args, run: Run) -> int:
     for warning in chain.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     deltas = chain.deltas
-    mean = float(np.mean(deltas))
-    sigma = float(np.std(deltas, ddof=1)) if args.trials > 1 else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite mean or sigma is rejected below
+        mean = float(np.mean(deltas))
+        sigma = float(np.std(deltas, ddof=1)) if args.trials > 1 else 0.0
     # single runs also dump the per-stage event trace of that trial
     traced = (chain.stage_deltas, chain.events) if args.trials == 1 else ()
     # the writers' repr gives nan/inf, which JSON has no literal for

@@ -1,7 +1,8 @@
 """JSON configuration loading with explicit defaulting and provenance.
 
 One flat JSON object configures all four parameter records. Keys mirror the
-record field names; values are plain numbers or suffixed strings ("2.2f").
+record fields except the derived v_t (kT/q at the temperature) and MultiplierSpec.sign,
+which comes with each signed weight; values are numbers or suffixed strings ("2.2f").
 Unknown keys are rejected so typos cannot silently fall back to defaults.
 Every key the file did not set is reported in the provenance log.
 This module converts file formats and the records check fields: read_json
@@ -14,16 +15,15 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, List, Optional, Tuple, Union
+from typing import Any, Callable, List, Tuple, Union
 
 from .errors import ConfigError, FieldValidationError, QuantityError
 from .params import CellDesign, JitterFit, MultiplierSpec, TechnologyProfile
 from .units import coerce_quantity, format_number
 
-# v_t last: its default is kT/q at the resolved temperature
-TECH_KEYS = ("v_dd", "v_thn", "v_thp", "temperature", "i_0", "gamma", "v_t")
+TECH_KEYS = ("v_dd", "v_thn", "v_thp", "temperature", "i_0", "gamma")
 CELL_KEYS = ("c_star", "c_s_eff", "dq_of_md", "c_re", "i_star", "v_a0")
-MULT_KEYS = ("n_bits", "sign", "weight_bits", "i_star_fastest")
+MULT_KEYS = ("n_bits", "weight_bits", "i_star_fastest")
 FIT_KEYS = ("k1", "p1", "k2", "q2", "unit_scale")
 
 KNOWN_KEYS = frozenset(TECH_KEYS + CELL_KEYS + MULT_KEYS + FIT_KEYS)
@@ -48,7 +48,6 @@ class ResolvedConfig:
     mult: MultiplierSpec
     fit: JitterFit
     provenance: Tuple[str, ...]
-    source: Optional[str] = None
 
     def to_dict(self) -> dict:
         """All resolved values, keyed like the config file."""
@@ -81,7 +80,7 @@ def _show(value) -> str:
     return repr(list(value) if isinstance(value, tuple) else value)
 
 
-def resolve_config(data: dict, source: Optional[str] = None) -> ResolvedConfig:
+def resolve_config(data: dict) -> ResolvedConfig:
     """Validate a raw mapping and fill defaults, recording each one.
 
     Each record is built from the keys the file gave, and every default is
@@ -101,11 +100,8 @@ def resolve_config(data: dict, source: Optional[str] = None) -> ResolvedConfig:
             given["v_a0"] = records["cell"].v_a0
         records[name] = record = cls(**given)
         for key in (k for k in keys if k not in given):
-            note = _DEFAULT_NOTES.get(key, "default")
-            if key == "v_t":
-                note = f"default: kT/q at {_show(record.temperature)} K"
-            provenance.append(f"{key} = {_show(getattr(record, key))} ({note})")
-    return ResolvedConfig(**records, provenance=tuple(provenance), source=source)
+            provenance.append(f"{key} = {_show(getattr(record, key))} ({_DEFAULT_NOTES.get(key, 'default')})")
+    return ResolvedConfig(**records, provenance=tuple(provenance))
 
 
 def read_json(path: Union[str, Path], parse: Callable[[Any], Any] = lambda data: data):
@@ -124,9 +120,9 @@ def load_config(path: Union[str, Path]) -> ResolvedConfig:
     and FieldValidationError (naming the offending field) for invariant
     violations.
     """
-    return resolve_config(read_json(path), source=str(Path(path)))
+    return resolve_config(read_json(path))
 
 
 def default_config() -> ResolvedConfig:
     """The all-defaults configuration."""
-    return resolve_config({}, source=None)
+    return resolve_config({})

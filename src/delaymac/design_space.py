@@ -33,7 +33,6 @@ import numpy as np
 
 from .cell import init_validity_min_cstar
 from .errors import CalibrationError, FieldValidationError, InfeasibleRegionError, RegimeError
-from .jitter import require_calibrated
 from .params import MAX_BITS_CAP, CellDesign, JitterFit, TechnologyProfile, is_finite_number, require_bit_count
 
 #: Fraction of the fastest cell's maximum referential delay granted to jitter.
@@ -234,12 +233,13 @@ class _ConstraintTables:
         # the initialization drop for v_a = v_dd, where it is worst; halving
         # the slowest current halves it exactly. Overflow has a defined meaning
         # here: an infinite drop or exp makes a row factor 0, so constraint 2
-        # fails on the row; an infinite quotient makes it inf, so c2 holds
+        # fails on the row; an infinite quotient makes it inf, so c2 holds.
+        # An infinite jitter allowance rhs0 holds for any finite variance
         with np.errstate(over="ignore"):
             dv0_vdd = (cell.c_s_eff * (tech.v_dd - tech.v_thn) + cell.dq_of_md) / self.c_grid
             self._margin_rows = cell.c_re / (tech.i_0 * np.exp(dv0_vdd / tech.v_t))
+            self.rhs0 = JITTER_MARGIN_FRACTION * cell.c_s_eff / self.i_grid
         self._margin_volts = tech.v_thn / tech.v_t
-        self.rhs0 = JITTER_MARGIN_FRACTION * cell.c_s_eff / self.i_grid
         # the front's terms (a, b) and c_grid rows, and the last unit scale
         # asked with its column margins and their row max
         self._front: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
@@ -286,8 +286,10 @@ class _ConstraintTables:
         values, so they agree to the last bit.
         """
         s1, s2 = unit_scale
-        with np.errstate(divide="ignore", over="ignore"):  # an inf variance is margin 0, a zero one inf
-            return self.rhs0 / (3.0 * np.sqrt(s1 * a + s2 * b))
+        # an inf variance is margin 0, a zero one inf; the masks fail the NaN of
+        # inf / inf or 0 / 0, so it is margin 0 too, never reaching a row max
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return np.fmax(self.rhs0 / (3.0 * np.sqrt(s1 * a + s2 * b)), 0.0)
 
     def region(self, n: int, epsilon: float, unit_scale: Tuple[float, float]) -> DesignRegion:
         rows, cols = np.arange(self.c_grid.size)[:, None], np.arange(self.i_grid.size)
@@ -376,9 +378,7 @@ def constraint_region(
     """Evaluate all three constraints for an n-bit multiplier over the grid."""
     require_bit_count(n, "n")
     _validate_epsilon(epsilon)
-    scale = require_calibrated(fit)
-    tables = _ConstraintTables(c_grid, i_grid, cell, tech, fit)
-    return tables.region(n, epsilon, scale)
+    return _ConstraintTables(c_grid, i_grid, cell, tech, fit).region(n, epsilon, fit.unit_scale)
 
 
 def optimal_point(region: DesignRegion) -> Tuple[float, float]:
@@ -402,8 +402,7 @@ def max_bits_curve(
     """max_bits at each excess margin, read off one eps_crit profile."""
     for epsilon in epsilons:
         _validate_epsilon(epsilon)
-    scale = require_calibrated(fit)
-    crit = _ConstraintTables(c_grid, i_grid, cell, tech, fit).profile(scale)
+    crit = _ConstraintTables(c_grid, i_grid, cell, tech, fit).profile(fit.unit_scale)
     return [int(np.count_nonzero(crit >= epsilon)) for epsilon in epsilons]
 
 

@@ -29,10 +29,6 @@ class RegimeError(DelaymacError, ValueError):
     """Inputs fall outside the validity region of a model."""
 
 
-class UncalibratedFitError(DelaymacError, RuntimeError):
-    """A fitted jitter model was evaluated before its unit scale was resolved."""
-
-
 class CalibrationError(DelaymacError, RuntimeError):
     """No candidate unit scale satisfies every calibration target."""
 

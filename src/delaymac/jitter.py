@@ -5,8 +5,8 @@ total_jitter is the one per-cell budget: feasibility constraint 3, the
 Monte-Carlo acceptance criterion and the noisy engine all read a cell's
 variance from it, with no separate reference-path term.
 
-The fitted constants require a calibrated unit scale (JitterFit.unit_scale);
-evaluating them uncalibrated raises.
+A fit always carries its calibrated unit scale (JitterFit.unit_scale), and
+a noisy chain draws jitter iff it is given a fit.
 
 Every jitter sample is drawn by _draw_jitter from one Generator(PCG64(seed))
 per evaluation: first one normal per weighted cell for trial 0, then one
@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
-from .errors import RegimeError, UncalibratedFitError
+from .errors import RegimeError
 from .params import CellDesign, JitterFit
 
 
@@ -40,24 +39,13 @@ class JitterBudget:
         return float(np.sqrt(self.var_sd + self.var_td))
 
 
-def require_calibrated(fit: JitterFit) -> tuple:
-    """Return the unit scale pair, raising if the fit is uncalibrated."""
-    if not fit.calibrated:
-        raise UncalibratedFitError(
-            "JitterFit.unit_scale is unresolved; run design_space.calibrate_units "
-            "(or load a config with a unit_scale) before evaluating fitted models"
-        )
-    return fit.unit_scale
-
-
 def sd_jitter_fitted(cell: CellDesign, fit: JitterFit) -> float:
     """Fitted steady-discharge variance s1 * k1 * c_star / i_star**p1, seconds^2.
 
     Raises RegimeError when the variance leaves the float range.
     """
-    s1, _ = require_calibrated(fit)
     try:
-        var = s1 * fit.k1 * cell.c_star / cell.i_star**fit.p1
+        var = fit.unit_scale[0] * fit.k1 * cell.c_star / cell.i_star**fit.p1
     except (OverflowError, ZeroDivisionError):  # i_star**p1 left the float range
         var = math.inf
     if not math.isfinite(var):
@@ -74,9 +62,8 @@ def td_jitter_fitted(cell: CellDesign, fit: JitterFit) -> float:
     Depends on the design only through the ramp rate R = i_star/c_star.
     Raises RegimeError when the variance leaves the float range.
     """
-    _, s2 = require_calibrated(fit)
     try:
-        var = s2 * fit.k2 * (cell.c_star / cell.i_star) ** fit.q2
+        var = fit.unit_scale[1] * fit.k2 * (cell.c_star / cell.i_star) ** fit.q2
     except OverflowError:  # (c_star/i_star)**q2 left the float range; q2 > 0, so 0.0**q2 is 0
         var = math.inf
     if not math.isfinite(var):
@@ -96,7 +83,7 @@ def total_jitter(cell: CellDesign, fit: JitterFit) -> JitterBudget:
     return JitterBudget(var_sd=sd_jitter_fitted(cell, fit), var_td=td_jitter_fitted(cell, fit))
 
 
-def _draw_jitter(seed: Union[int, np.random.SeedSequence], cell_weights: np.ndarray, trials: int) -> tuple:
+def _draw_jitter(seed: int, cell_weights: np.ndarray, trials: int) -> tuple:
     """The one jitter stream: trial 0's per-cell normals and every trial's total.
 
     Trial 0 takes one normal z per cell and totals sum(w * z); each later
@@ -118,9 +105,7 @@ def sample_cell_jitter(seed: int, cell: CellDesign, fit: JitterFit, count: int) 
 
     The one-cell case of the jitter stream, weight sigma: the numbers a
     one-stage chain with one set bit draws at the same seed. The same seed
-    yields the same sequence on every platform. Callers running parallel
-    streams should split seeds (e.g. numpy SeedSequence.spawn) rather than
-    share one.
+    yields the same sequence on every platform.
     """
     if count < 1:
         raise ValueError("count must be >= 1")

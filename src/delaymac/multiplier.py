@@ -15,20 +15,20 @@ simulate_multiply is its one-stage case, differential_multiply a two-stage
 chain read stage by stage, and a transfer_sweep row one stage of a noise-free
 chain.
 
-Jitter needs a fit and a seed; without either, every trial is the
-deterministic total. The draw is the package's one jitter stream,
-jitter._draw_jitter, weighted by the signed per-cell sigmas of the traversed
-cells in this order: stage-major, then per set bit in increasing i. Each
-weight is one cell's budget, jitter.total_jitter. Trial 0's per-cell normals
-alone feed the per-stage view. jitter.sample_cell_jitter is the stream's
-one-cell case: a one-stage chain with one set bit at v_a = v_a0 draws
-exactly its samples.
+A chain draws jitter iff it is given a fit, from its seed (default 0);
+without a fit every trial is the deterministic total. The draw is the
+package's one jitter stream, jitter._draw_jitter, weighted by the signed
+per-cell sigmas of the traversed cells in this order: stage-major, then per
+set bit in increasing i. Each weight is one cell's budget,
+jitter.total_jitter. Trial 0's per-cell normals alone feed the per-stage
+view. jitter.sample_cell_jitter is the stream's one-cell case: a one-stage
+chain with one set bit at v_a = v_a0 draws exactly its samples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,8 +36,6 @@ from .cell import initial_drop, latch_delay, latch_point
 from .errors import RegimeError
 from .jitter import _draw_jitter, total_jitter
 from .params import INPUT_FLOOR_V, CellDesign, JitterFit, MultiplierSpec, TechnologyProfile, require_weight_fits
-
-SeedLike = Union[int, "np.random.SeedSequence"]
 
 MODELS = ("ideal", "nonlinear")
 
@@ -99,6 +97,9 @@ def _sum_bits(cells: np.ndarray) -> np.ndarray:
     return np.add.accumulate(cells, axis=1)[:, -1]
 
 
+# a delay beyond the float range comes out inf or NaN, and cmd_simulate exits 1
+# on any non-finite output, so numpy need not warn of an overflow or NaN
+@np.errstate(over="ignore", invalid="ignore")
 def simulate_chain(
     weights: Sequence[int],
     v_as: Sequence[float],
@@ -107,7 +108,7 @@ def simulate_chain(
     tech: TechnologyProfile,
     model: str = "ideal",
     fit: Optional[JitterFit] = None,
-    seed: Optional[SeedLike] = None,
+    seed: int = 0,
     trials: int = 1,
     ev_in: ReferentialEvent = ReferentialEvent(),
     distortion_alpha: float = 0.0,
@@ -134,7 +135,6 @@ def simulate_chain(
             warnings.append(
                 f"{low} of {len(v)} stages have {name} below the {INPUT_FLOOR_V} V input floor")
 
-    noisy = fit is not None and seed is not None
     signs = np.where(w < 0, -1, 1)
     bits = (np.abs(w)[:, None] >> np.arange(template.n_bits)) & 1 == 1
     i_star = template.i_star_fastest / 2.0 ** np.arange(template.n_bits)
@@ -145,7 +145,7 @@ def simulate_chain(
     for i in np.flatnonzero(bits.any(axis=0)):  # per-bit constants of the columns in use
         cell_i = cell.with_current(float(i_star[i]))
         dv0_ref = initial_drop(v_a0, cell_i, tech)
-        sigma[i] = total_jitter(cell_i, fit).sigma_total if noisy else 0.0
+        sigma[i] = 0.0 if fit is None else total_jitter(cell_i, fit).sigma_total
         if model == "ideal":
             t_base[i] = (cell_i.c_star / cell_i.i_star) * (latch_point(cell_i, tech) - dv0_ref)
         else:
@@ -164,7 +164,7 @@ def simulate_chain(
         rd = ((tech.v_t / ramp) * np.log1p(margin) - t_base) + distortion
 
     j = 0.0
-    if not noisy:
+    if fit is None:
         jitter = np.zeros(trials)
     else:
         stage, bit = np.nonzero(bits)  # the traversed cells, stage-major

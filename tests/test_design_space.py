@@ -9,12 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from delaymac import design_space as ds
 from delaymac.cell import initial_drop, td_linearity_margin
-from delaymac.errors import (
-    CalibrationError,
-    FieldValidationError,
-    InfeasibleRegionError,
-    UncalibratedFitError,
-)
+from delaymac.errors import CalibrationError, FieldValidationError, InfeasibleRegionError
 from delaymac.jitter import total_jitter
 from delaymac.params import DEFAULT_UNIT_SCALE, CellDesign, JitterFit, TechnologyProfile
 
@@ -55,10 +50,6 @@ class TestConstraintRegion:
     def test_feasible_is_conjunction(self, cell, tech, fit, grids):
         r = ds.constraint_region(5, *grids, cell, tech, fit)
         assert np.array_equal(r.feasible, r.mask_c1 & r.mask_c2 & r.mask_c3)
-
-    def test_uncalibrated_fit_rejected(self, cell, tech, grids):
-        with pytest.raises(UncalibratedFitError):
-            ds.constraint_region(5, *grids, cell, tech, JitterFit(unit_scale=None))
 
     def test_grid_validation(self, cell, tech, fit):
         short = np.geomspace(1e-15, 1e-14, 8)
@@ -144,13 +135,13 @@ class TestMaxBits:
 
 class TestCalibration:
     def test_default_targets_all_met(self, cell, tech, grids):
-        raw = JitterFit(unit_scale=None)
+        raw = JitterFit()
         result = ds.calibrate_units(ds.DEFAULT_CALIBRATION_TARGETS, raw, tech, cell)
         assert all(result.targets_met)
         assert result.targets_met == (True,) * len(ds.DEFAULT_CALIBRATION_TARGETS)
 
     def test_reproduces_packaged_scale(self, cell, tech):
-        raw = JitterFit(unit_scale=None)
+        raw = JitterFit()
         result = ds.calibrate_units(ds.DEFAULT_CALIBRATION_TARGETS, raw, tech, cell)
         assert result.unit_scale[0] == pytest.approx(DEFAULT_UNIT_SCALE[0], rel=1e-9, abs=0)
         assert result.unit_scale[1] == pytest.approx(DEFAULT_UNIT_SCALE[1], rel=1e-9)
@@ -191,7 +182,7 @@ class TestCalibration:
         assert 14.0 * 0.7 <= eps1 <= 14.0 * 1.3
 
     def test_result_serialization(self, cell, tech):
-        raw = JitterFit(unit_scale=None)
+        raw = JitterFit()
         result = ds.calibrate_units(ds.DEFAULT_CALIBRATION_TARGETS, raw, tech, cell)
         d = result.to_dict()
         assert set(d) == {"unit_scale", "residual", "targets_met", "convention"}

@@ -9,7 +9,7 @@ from delaymac.errors import FieldValidationError
 from delaymac.params import CellDesign, JitterFit, MultiplierSpec, TechnologyProfile
 
 FLOAT_FIELDS = [
-    (TechnologyProfile, ("v_dd", "v_thn", "v_thp", "temperature", "v_t", "i_0", "gamma")),
+    (TechnologyProfile, ("v_dd", "v_thn", "v_thp", "temperature", "i_0", "gamma")),
     (CellDesign, ("c_star", "c_s_eff", "dq_of_md", "c_re", "i_star", "v_a0")),
     (MultiplierSpec, ("i_star_fastest", "v_a0")),
     (JitterFit, ("k1", "p1", "k2", "q2")),
@@ -17,7 +17,7 @@ FLOAT_FIELDS = [
 
 # every config key whose value is a float (the rest are integers, bit lists
 # or the unit-scale pair)
-FLOAT_KEYS = sorted(KNOWN_KEYS - {"n_bits", "sign", "weight_bits", "unit_scale"})
+FLOAT_KEYS = sorted(KNOWN_KEYS - {"n_bits", "weight_bits", "unit_scale"})
 
 COMMANDS = {
     "region": ("region", "--bits", 5, "--grid-points", 16, "--out", "r.csv"),

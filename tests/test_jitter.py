@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from delaymac import jitter as jt
-from delaymac.errors import RegimeError, UncalibratedFitError
+from delaymac.errors import RegimeError
 from delaymac.params import CellDesign, JitterFit
 
 # frozen direct evaluations
@@ -49,15 +49,6 @@ class TestFitted:
     def test_td_out_of_float_range_raises(self, fit, c_star, i_star):
         with pytest.raises(RegimeError, match="float range"):
             jt.td_jitter_fitted(CellDesign(c_star=c_star, i_star=i_star), fit)
-
-    def test_uncalibrated_fit_raises(self, cell):
-        raw = JitterFit(unit_scale=None)
-        with pytest.raises(UncalibratedFitError):
-            jt.sd_jitter_fitted(cell, raw)
-        with pytest.raises(UncalibratedFitError):
-            jt.td_jitter_fitted(cell, raw)
-        with pytest.raises(UncalibratedFitError):
-            jt.total_jitter(cell, raw)
 
     @given(
         i_low=st.floats(min_value=1e-8, max_value=1e-6),

@@ -16,13 +16,13 @@ def test_fit_requires_finite_positive_scale(scale):
         JitterFit(unit_scale=scale)
 
 
-@pytest.mark.parametrize("scale", [["a", 1], [None, 1], [{}, 1], [True, 1], "12"])
+@pytest.mark.parametrize("scale", [["a", 1], [None, 1], [{}, 1], [True, 1], "12", None])
 def test_config_rejects_non_numeric_scale(scale):
     with pytest.raises(FieldValidationError, match="unit_scale"):
         resolve_config({"unit_scale": scale})
 
 
-@pytest.mark.parametrize("text", ['{"unit_scale": ["a", 1]}', '{"unit_scale": [Infinity, 1]}'])
+@pytest.mark.parametrize("text", ['{"unit_scale": ["a", 1]}', '{"unit_scale": [Infinity, 1]}', '{"unit_scale": null}'])
 def test_region_with_bad_config_scale(fails_cleanly, tmp_path, text):
     cfg = tmp_path / "c.json"
     cfg.write_text(text)
