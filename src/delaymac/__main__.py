@@ -1,7 +1,12 @@
 """The `delaymac` launcher: `python -m delaymac` and the console script.
 
+Importing numpy takes most of a short command's start-up, so only region,
+maxbits, calibrate, simulate and bias load it, in the handler that runs
+their model; --version, --help, energy and every usage or config error
+start without it (see the cli module docstring).
+
 No delaymac code calls BLAS, yet numpy's OpenBLAS starts one worker thread
-per extra core when numpy loads, which costs every short command tens of
+per extra core when numpy loads, which costs every array command tens of
 milliseconds of start-up on a busy host. run() therefore pins OpenBLAS to
 one thread before anything imports numpy. A value the user set in
 OPENBLAS_NUM_THREADS wins, and importing the package as a library leaves

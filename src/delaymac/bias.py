@@ -70,7 +70,10 @@ def v_ref_for_current(i_bias: float, tech: TechnologyProfile) -> float:
     """Reference voltage that makes bias_current produce i_bias."""
     if i_bias <= 0:
         raise FieldValidationError("i_bias", "must be > 0")
-    return tech.v_thn + DEFAULT_SLOPE_FACTOR * tech.v_t * math.log(i_bias / tech.i_0)
+    ratio = i_bias / tech.i_0
+    if not (math.isfinite(ratio) and ratio > 0):
+        raise RegimeError(f"i_bias={i_bias:.4g} A over i_0={tech.i_0:.4g} A leaves the float range")
+    return tech.v_thn + DEFAULT_SLOPE_FACTOR * tech.v_t * math.log(ratio)
 
 
 def branch_currents(v_ref: float, n: int, tech: TechnologyProfile) -> np.ndarray:

@@ -31,6 +31,12 @@ to 8. Out of range is an input error: region --bits 49 and up exits 1, not
 most one of --vref and --ibias, and a --vref above the subthreshold ceiling
 exits 1.
 
+Importing numpy takes most of a short command's start-up, so only the
+commands that compute on arrays load it: region, maxbits and calibrate
+(design_space), simulate (multiplier and jitter) and bias. Each loads it in
+its handler and imports no other command's model. --version, --help,
+energy and every usage or config error start without numpy.
+
 The launcher, delaymac.__main__.run (python -m delaymac and the delaymac
 console script), pins OpenBLAS to one thread before numpy loads: no command
 calls BLAS, and each extra worker OpenBLAS would start costs start-up time.
@@ -48,31 +54,29 @@ import os
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from . import __version__
-from .bias import bias_plan, v_ref_for_current
 from .config import ResolvedConfig, default_config, load_config, read_json
-from .design_space import (
+from .errors import CalibrationError, DelaymacError
+from .params import (
     DEFAULT_C_SPAN,
-    DEFAULT_CALIBRATION_TARGETS,
     DEFAULT_GRID_POINTS,
     DEFAULT_I_SPAN,
+    MAX_BITS_CAP,
     MAX_GRID_POINTS,
     MIN_GRID_POINTS,
-    DesignRegion,
-    calibrate_units,
-    constraint_region,
-    default_grids,
-    max_bits_curve,
+    JitterFit,
+    MultiplierSpec,
+    require_bit_count,
 )
-from .energy import mac_energy
-from .errors import CalibrationError, DelaymacError
-from .multiplier import ChainResult, MultiplierSpec, simulate_chain
-from .params import MAX_BITS_CAP, JitterFit, require_bit_count
 from .units import coerce_quantity, format_number
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .design_space import CalibrationResult, DesignRegion
+    from .multiplier import ChainResult
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -117,6 +121,27 @@ class Run:
 # perfbench/tracer.py reads cli.RunManifest when it instruments the CLI and
 # raises AttributeError without it; drop this alias with that patch
 RunManifest = Run
+
+
+# Each array model loads numpy, most of a command's start-up, so only the
+# handler that runs a model imports it. These three stay names of this
+# module, through which tests replace a model and perfbench/tracer.py wraps it.
+def constraint_region(*args, **kwargs) -> DesignRegion:
+    from . import design_space
+
+    return design_space.constraint_region(*args, **kwargs)
+
+
+def calibrate_units(*args, **kwargs) -> CalibrationResult:
+    from . import design_space
+
+    return design_space.calibrate_units(*args, **kwargs)
+
+
+def simulate_chain(*args, **kwargs) -> ChainResult:
+    from . import multiplier
+
+    return multiplier.simulate_chain(*args, **kwargs)
 
 
 def config_dir() -> Path:
@@ -169,6 +194,8 @@ def _write_region_csv(path: Path, region: DesignRegion) -> None:
     differs from the previous row's: a few per column where a constraint
     boundary crosses it, every changed cell for arbitrary masks.
     """
+    import numpy as np
+
     codes = np.zeros(region.feasible.shape, dtype=np.uint8)
     for mask in (region.mask_c1, region.mask_c2, region.mask_c3, region.feasible):
         codes <<= 1
@@ -262,6 +289,8 @@ def _parse_span(text: str) -> Tuple[float, float]:
 
 
 def _grids(args):
+    from .design_space import default_grids
+
     c_span = _parse_span(args.c_span) if args.c_span else DEFAULT_C_SPAN
     i_span = _parse_span(args.i_span) if args.i_span else DEFAULT_I_SPAN
     return default_grids(args.grid_points, c_span, i_span)
@@ -295,6 +324,10 @@ def cmd_region(args, run: Run) -> int:
 
 
 def cmd_maxbits(args, run: Run) -> int:
+    import numpy as np
+
+    from .design_space import max_bits_curve
+
     cfg = run.cfg
     parts = args.epsilon_grid.split(":")
     if len(parts) != 3:
@@ -321,6 +354,8 @@ def _parse_float_list(text: str, flag: str) -> List[float]:
 
 
 def cmd_simulate(args, run: Run) -> int:
+    import numpy as np
+
     cfg = run.cfg
     try:
         weights = [int(x) for x in args.weights.split(",") if x.strip() != ""]
@@ -339,8 +374,6 @@ def cmd_simulate(args, run: Run) -> int:
         weights, v_as, cfg.mult, cfg.cell, cfg.tech,
         model=model, fit=fit, seed=args.seed, trials=args.trials,
     )
-    for warning in chain.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
     deltas = chain.deltas
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite mean or sigma is rejected below
         mean = float(np.mean(deltas))
@@ -350,6 +383,9 @@ def cmd_simulate(args, run: Run) -> int:
     # the writers' repr gives nan/inf, which JSON has no literal for
     if not all(np.isfinite(v).all() for v in (deltas, mean, sigma, *traced)):
         raise DelaymacError("the chain gave a non-finite delay or event time; nothing was written")
+    # after the check, so that an input error prints one line
+    for warning in chain.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
     _write_trials_csv(run.output(Path(args.out).suffix or ".csv"), deltas, mean, sigma)
     if traced:
         _write_trace_json(run.output(".trace.json"), chain, weights, v_as)
@@ -358,6 +394,8 @@ def cmd_simulate(args, run: Run) -> int:
 
 
 def cmd_energy(args, run: Run) -> int:
+    from .energy import mac_energy
+
     cfg = run.cfg
     n_bits = args.bits if args.bits is not None else cfg.mult.n_bits
     require_bit_count(n_bits, "--bits")
@@ -378,6 +416,8 @@ def cmd_energy(args, run: Run) -> int:
 
 
 def cmd_bias(args, run: Run) -> int:
+    from .bias import bias_plan, v_ref_for_current
+
     cfg = run.cfg
     if args.bits < 1 or args.bits > 8:
         raise DelaymacError(f"--bits must be in [1, 8] (got {args.bits})")
@@ -393,6 +433,8 @@ def cmd_bias(args, run: Run) -> int:
 
 
 def cmd_calibrate(args, run: Run) -> int:
+    from .design_space import DEFAULT_CALIBRATION_TARGETS
+
     cfg = run.cfg
     targets = list(DEFAULT_CALIBRATION_TARGETS)
     if args.targets:

@@ -11,7 +11,6 @@ reads every JSON input file and _convert parses suffixed strings.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -60,6 +59,8 @@ class ResolvedConfig:
 
     def digest(self) -> str:
         """Hex digest identifying the resolved configuration."""
+        import hashlib  # OpenSSL's _hashlib takes ~3 ms to load, and a run that writes no manifest skips it
+
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 

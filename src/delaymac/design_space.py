@@ -33,19 +33,22 @@ import numpy as np
 
 from .cell import init_validity_min_cstar
 from .errors import CalibrationError, FieldValidationError, InfeasibleRegionError, RegimeError
-from .params import MAX_BITS_CAP, CellDesign, JitterFit, TechnologyProfile, is_finite_number, require_bit_count
+from .params import (
+    DEFAULT_C_SPAN,
+    DEFAULT_GRID_POINTS,
+    DEFAULT_I_SPAN,
+    MAX_BITS_CAP,
+    MAX_GRID_POINTS,
+    MIN_GRID_POINTS,
+    CellDesign,
+    JitterFit,
+    TechnologyProfile,
+    is_finite_number,
+    require_bit_count,
+)
 
 #: Fraction of the fastest cell's maximum referential delay granted to jitter.
 JITTER_MARGIN_FRACTION = 0.4
-
-DEFAULT_C_SPAN = (0.5e-15, 50e-15)
-DEFAULT_I_SPAN = (50e-9, 20e-6)
-DEFAULT_GRID_POINTS = 64
-
-MIN_GRID_POINTS = 16
-#: Largest points per axis default_grids builds: a 4096**2 region CSV is
-#: about 0.9 GB, and its masks take 16.8 MB each.
-MAX_GRID_POINTS = 4096
 
 #: Excess margins from here up count as never reaching a bit count.
 _EPSILON_REACH_LIMIT = 2.0**29

@@ -31,6 +31,17 @@ INPUT_FLOOR_V = 0.075
 #: stays a normal float.
 MAX_BITS_CAP = 48
 
+#: Default (c_star, i_star_fastest) spans and points per axis of the
+#: design-space grids; the CLI reads them without loading design_space.
+DEFAULT_C_SPAN = (0.5e-15, 50e-15)
+DEFAULT_I_SPAN = (50e-9, 20e-6)
+DEFAULT_GRID_POINTS = 64
+
+MIN_GRID_POINTS = 16
+#: Largest points per axis design_space.default_grids builds: a 4096**2
+#: region CSV is about 0.9 GB, and its masks take 16.8 MB each.
+MAX_GRID_POINTS = 4096
+
 
 def thermal_voltage(temperature_k: float) -> float:
     """kT/q in volts."""

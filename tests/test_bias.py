@@ -5,6 +5,7 @@ import pytest
 
 from delaymac import bias as bs
 from delaymac.errors import FieldValidationError, RegimeError
+from delaymac.params import TechnologyProfile
 
 
 class TestWidthTable:
@@ -64,6 +65,12 @@ class TestBranchCurrents:
         for i_target in (1e-8, 1e-7, 1e-6):
             v = bs.v_ref_for_current(i_target, tech)
             assert bs.bias_current(v, tech) == pytest.approx(i_target, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("i_bias, i_0", [(1e-300, 1e300), (1e300, 1e-300)])
+    def test_current_ratio_outside_the_float_range(self, i_bias, i_0):
+        # i_bias / i_0 underflows to 0 or overflows to inf, which log cannot take
+        with pytest.raises(RegimeError, match="float range"):
+            bs.v_ref_for_current(i_bias, TechnologyProfile(i_0=i_0))
 
 
 class TestBiasPlan:

@@ -78,3 +78,15 @@ def test_any_config_value_fails_cleanly_or_runs_clean(key, value, command):
 ] + [("c_s_eff", "1e308", command) for command in ("region", "maxbits", "calibrate", "ideal", "nonlinear", "noisy")])
 def test_extreme_config_runs_without_numpy_warnings(key, value, command):
     assert_clean_run(key, value, command)
+
+
+# two keys that only together ended in a traceback (bias: i_bias / i_0
+# underflows in the log) or a warning line before the error (nonlinear)
+@pytest.mark.parametrize("config, command", [
+    ('{"i_star_fastest": 1e-300, "i_0": 1e300}', "bias"),
+    ('{"v_a0": "0.5f", "i_star_fastest": 1e308}', "nonlinear"),
+])
+def test_two_key_config_fails_in_one_line(fails_cleanly, tmp_path, config, command):
+    (tmp_path / "c.json").write_text(config)
+    fails_cleanly(*COMMANDS[command], "--config", tmp_path / "c.json")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
