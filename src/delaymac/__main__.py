@@ -1,8 +1,8 @@
 """The `delaymac` launcher: `python -m delaymac` and the console script.
 
 Importing numpy takes most of a short command's start-up, so only region,
-maxbits, calibrate, simulate and bias load it, in the handler that runs
-their model; --version, --help, energy and every usage or config error
+maxbits, calibrate and simulate load it, in the handler that runs their
+model; --version, --help, energy, bias and every usage or config error
 start without it (see the cli module docstring).
 
 No delaymac code calls BLAS, yet numpy's OpenBLAS starts one worker thread

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Tuple, Union
 
-import numpy as np
-
 from .errors import FieldValidationError, RegimeError
 from .params import TechnologyProfile
 
@@ -76,11 +74,12 @@ def v_ref_for_current(i_bias: float, tech: TechnologyProfile) -> float:
     return tech.v_thn + DEFAULT_SLOPE_FACTOR * tech.v_t * math.log(ratio)
 
 
-def branch_currents(v_ref: float, n: int, tech: TechnologyProfile) -> np.ndarray:
-    """Ideal mirrored currents [bias_current / 2**i for i in range(n)]."""
+def branch_currents(v_ref: float, n: int, tech: TechnologyProfile) -> Tuple[float, ...]:
+    """Ideal mirrored currents (bias_current / 2**i for i in range(n))."""
     if n < 1:
         raise FieldValidationError("n", "must be >= 1")
-    return bias_current(v_ref, tech) / 2.0 ** np.arange(n)
+    i_bias = bias_current(v_ref, tech)
+    return tuple(i_bias / 2.0**i for i in range(n))
 
 
 @dataclass(frozen=True)
@@ -124,12 +123,12 @@ def bias_plan(v_ref: float, n: int, tech: TechnologyProfile) -> BiasPlan:
     sits DRAIN_PIN_V above it to hold the mirror drain at the pin target.
     """
     currents = branch_currents(v_ref, n, tech)
-    v_b1 = tuple(v_ref_for_current(float(i_i), tech) for i_i in currents)
+    v_b1 = tuple(v_ref_for_current(i_i, tech) for i_i in currents)
     v_b2 = tuple(b1 + DRAIN_PIN_V for b1 in v_b1)
     return BiasPlan(
         n_bits=n,
         widths=width_table(n),
-        currents=tuple(float(i_i) for i_i in currents),
+        currents=currents,
         v_b1=v_b1,
         v_b2=v_b2,
     )

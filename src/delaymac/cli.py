@@ -33,9 +33,9 @@ exits 1.
 
 Importing numpy takes most of a short command's start-up, so only the
 commands that compute on arrays load it: region, maxbits and calibrate
-(design_space), simulate (multiplier and jitter) and bias. Each loads it in
-its handler and imports no other command's model. --version, --help,
-energy and every usage or config error start without numpy.
+(design_space) and simulate (multiplier and jitter). Each loads it in its
+handler and imports no other command's model. --version, --help, energy,
+bias and every usage or config error start without numpy.
 
 The launcher, delaymac.__main__.run (python -m delaymac and the delaymac
 console script), pins OpenBLAS to one thread before numpy loads: no command
@@ -165,8 +165,7 @@ def _resolve_config(args) -> ResolvedConfig:
     # a persisted calibration overrides the packaged default scale, but never
     # an explicitly configured one; calibrate searches from the raw fit and
     # rewrites that file, so it never reads it
-    unit_scale_defaulted = any(line.startswith("unit_scale ") for line in cfg.provenance)
-    if unit_scale_defaulted and args.command != "calibrate":
+    if "unit_scale" in cfg.provenance and args.command != "calibrate":
         cfg = replace(cfg, fit=_overlay_calibration(cfg.fit))
     return cfg
 
@@ -502,7 +501,9 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
 
     p = add("calibrate", cmd_calibrate, "resolve the jitter-fit unit scale and persist it")
-    p.add_argument("--targets", default=None, help="JSON file with a custom target list")
+    p.add_argument("--targets", default=None, help="JSON list of custom targets, each a kind and its fields:"
+                   " max_bits (bits, epsilon=1), feasible (n, epsilon=1), infeasible (n, epsilon=1), optimum"
+                   " (n, c_star, i_star, epsilon=1, grid_steps=1), bits_reach (bits, epsilon=1, rel_tol=0.3)")
     _add_grid_flags(p)
 
     return parser

@@ -4,7 +4,7 @@ One flat JSON object configures all four parameter records. Keys mirror the
 record fields except the derived v_t (kT/q at the temperature) and MultiplierSpec.sign,
 which comes with each signed weight; values are numbers or suffixed strings ("2.2f").
 Unknown keys are rejected so typos cannot silently fall back to defaults.
-Every key the file did not set is reported in the provenance log.
+ResolvedConfig.provenance lists every key the file did not set, in record order.
 This module converts file formats and the records check fields: read_json
 reads every JSON input file and _convert parses suffixed strings.
 """
@@ -14,11 +14,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, List, Tuple, Union
+from typing import Any, Callable, Tuple, Union
 
 from .errors import ConfigError, FieldValidationError, QuantityError
 from .params import CellDesign, JitterFit, MultiplierSpec, TechnologyProfile
-from .units import coerce_quantity, format_number
+from .units import coerce_quantity
 
 TECH_KEYS = ("v_dd", "v_thn", "v_thp", "temperature", "i_0", "gamma")
 CELL_KEYS = ("c_star", "c_s_eff", "dq_of_md", "c_re", "i_star", "v_a0")
@@ -35,12 +35,9 @@ _RECORDS = (
     ("fit", JitterFit, FIT_KEYS),
 )
 
-_DEFAULT_NOTES = {"weight_bits": "default: all ones", "unit_scale": "default: packaged calibration"}
-
-
 @dataclass(frozen=True)
 class ResolvedConfig:
-    """Validated parameter records plus a log of every default applied."""
+    """Validated parameter records plus the keys that took their default."""
 
     tech: TechnologyProfile
     cell: CellDesign
@@ -75,17 +72,10 @@ def _convert(key: str, value):
         raise FieldValidationError(key, str(exc)) from exc
 
 
-def _show(value) -> str:
-    if isinstance(value, float):
-        return format_number(value)
-    return repr(list(value) if isinstance(value, tuple) else value)
-
-
 def resolve_config(data: dict) -> ResolvedConfig:
-    """Validate a raw mapping and fill defaults, recording each one.
+    """Validate a raw mapping and fill defaults, recording each defaulted key.
 
-    Each record is built from the keys the file gave, and every default is
-    read back off the built record, so the log shows what the records hold.
+    Each record is built from the keys the file gave and fills in the rest.
     """
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
@@ -93,16 +83,14 @@ def resolve_config(data: dict) -> ResolvedConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
 
-    provenance: List[str] = []
     records = {}
     for name, cls, keys in _RECORDS:
         given = {key: _convert(key, data[key]) for key in keys if key in data}
         if cls is MultiplierSpec:
             given["v_a0"] = records["cell"].v_a0
-        records[name] = record = cls(**given)
-        for key in (k for k in keys if k not in given):
-            provenance.append(f"{key} = {_show(getattr(record, key))} ({_DEFAULT_NOTES.get(key, 'default')})")
-    return ResolvedConfig(**records, provenance=tuple(provenance))
+        records[name] = cls(**given)
+    defaulted = tuple(key for _, _, keys in _RECORDS for key in keys if key not in data)
+    return ResolvedConfig(**records, provenance=defaulted)
 
 
 def read_json(path: Union[str, Path], parse: Callable[[Any], Any] = lambda data: data):

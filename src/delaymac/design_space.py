@@ -257,7 +257,8 @@ class _ConstraintTables:
         halving = np.repeat([2.0**-n for n in ns], rows)
 
         def meets(j):
-            with np.errstate(over="ignore"):  # an infinite margin meets c2, as in __init__
+            # an infinite margin meets c2 and inf times a zero row factor, NaN, fails it, as in __init__
+            with np.errstate(over="ignore", invalid="ignore"):
                 return (self.i_grid[j] / c) * f * self._margin_volts * halving > 1.0
 
         return _first_true(meets, self.i_grid.size, lane_rows.size).reshape(len(ns), rows)
@@ -436,13 +437,14 @@ DEFAULT_CALIBRATION_TARGETS: Tuple[dict, ...] = (
     {"kind": "bits_reach", "bits": 1, "epsilon": 14.0, "rel_tol": 0.3},
 )
 
-#: Fields each calibration target kind requires.
-_TARGET_REQUIRED: Dict[str, Tuple[str, ...]] = {
-    "max_bits": ("bits",),
-    "feasible": ("n",),
-    "infeasible": ("n",),
-    "optimum": ("n", "c_star", "i_star"),
-    "bits_reach": ("bits",),
+#: The fields each calibration target kind reads, with their defaults;
+#: None marks a required field.
+_TARGET_FIELDS: Dict[str, Dict[str, Optional[float]]] = {
+    "max_bits": {"bits": None, "epsilon": 1.0},
+    "feasible": {"n": None, "epsilon": 1.0},
+    "infeasible": {"n": None, "epsilon": 1.0},
+    "optimum": {"n": None, "c_star": None, "i_star": None, "epsilon": 1.0, "grid_steps": 1.0},
+    "bits_reach": {"bits": None, "epsilon": 1.0, "rel_tol": 0.3},
 }
 
 #: Inclusive range of target fields; any other field is a number >= 0. n and
@@ -483,25 +485,33 @@ class CalibrationResult:
         }
 
 
-def _validate_targets(targets: Sequence[dict]) -> None:
-    """Reject malformed calibration targets before any search starts."""
+def _parse_targets(targets: Sequence[dict]) -> List[dict]:
+    """The targets, complete: each kind's defaults filled in, n and bits as ints,
+    every other field a float. Rejects, before any search starts, an unknown
+    kind, a field the kind does not read and a missing or out-of-range field."""
     if not isinstance(targets, (list, tuple)):
         raise FieldValidationError("targets", "must be a list of target objects")
+    parsed = []
     for t in targets:
         kind = t.get("kind") if isinstance(t, dict) else None
-        if not isinstance(kind, str) or kind not in _TARGET_REQUIRED:
+        if not isinstance(kind, str) or kind not in _TARGET_FIELDS:
             raise FieldValidationError("kind", f"unknown calibration target {t!r}")
-        for key in _TARGET_REQUIRED[kind]:
-            if key not in t:
+        for key in t:
+            if key != "kind" and key not in _TARGET_FIELDS[kind]:
+                raise FieldValidationError(key, f"is not a field of a {kind} calibration target {t!r}")
+        out = {"kind": kind}
+        for key, default in _TARGET_FIELDS[kind].items():
+            if key not in t and default is None:
                 raise FieldValidationError(key, f"missing from calibration target {t!r}")
-        for key, value in t.items():
-            if key == "kind":
-                continue
+            value = t.get(key, default)
             lo, hi = _TARGET_RANGES.get(key, (0.0, math.inf))
             integral = key in ("n", "bits")
             if not (is_finite_number(value) and lo <= value <= hi) or (integral and value != int(value)):
                 what = "an integer" if integral else "a number"
                 raise FieldValidationError(key, f"must be {what} in [{lo:g}, {hi:g}] (calibration target {t!r})")
+            out[key] = int(value) if integral else float(value)
+        parsed.append(out)
+    return parsed
 
 
 def _log_step(grid: np.ndarray) -> float:
@@ -521,24 +531,24 @@ def _evaluate_targets(
     met: List[bool] = []
     residual = 0.0
     for t in targets:
-        kind, eps, cost = t["kind"], float(t.get("epsilon", 1.0)), 0.0
+        kind, eps, cost = t["kind"], t["epsilon"], 0.0
         if kind == "max_bits":
             got = tables.max_bits(eps, scale)
-            ok, cost = got == int(t["bits"]), abs(got - int(t["bits"]))
+            ok, cost = got == t["bits"], abs(got - t["bits"])
         elif kind in ("feasible", "infeasible"):
-            ok = tables.feasible_any(int(t["n"]), eps, scale) == (kind == "feasible")
+            ok = tables.feasible_any(t["n"], eps, scale) == (kind == "feasible")
         elif kind == "optimum":
-            point = tables.optimum(int(t["n"]), eps, scale)
+            point = tables.optimum(t["n"], eps, scale)
             ok = point is not None
             if ok:
                 c_opt, i_opt = point
                 steps_c = abs(math.log(c_opt / t["c_star"])) / _log_step(tables.c_grid)
                 steps_i = abs(math.log(i_opt / t["i_star"])) / _log_step(tables.i_grid)
-                allowed = float(t.get("grid_steps", 1)) + 1e-9
+                allowed = t["grid_steps"] + 1e-9
                 ok, cost = steps_c <= allowed and steps_i <= allowed, 0.01 * (steps_c + steps_i)
-        else:  # bits_reach; _validate_targets admits no other kind
-            reached = tables.epsilon_reaching_bits(int(t["bits"]), scale)
-            tol = float(t.get("rel_tol", 0.3))
+        else:  # bits_reach; _parse_targets admits no other kind
+            reached = tables.epsilon_reaching_bits(t["bits"], scale)
+            tol = t["rel_tol"]
             ok = math.isfinite(reached) and (1 - tol) * eps <= reached <= (1 + tol) * eps
             cost = abs(math.log(reached / eps)) if math.isfinite(reached) else _MISS_PENALTY
         residual += cost if ok else cost + _MISS_PENALTY
@@ -557,7 +567,7 @@ def _anchor_interval(tables, targets, scale_of) -> Optional[Tuple[float, float]]
     anchor = next((t for t in targets if t["kind"] == "max_bits"), None)
     if anchor is None:
         return (1.0, 1.0)
-    eps, bits = float(anchor.get("epsilon", 1.0)), int(anchor["bits"])
+    eps, bits = anchor["epsilon"], anchor["bits"]
     crit = tables.profile(scale_of(1.0))
     if bits == 0 or crit[bits] == 0.0:
         return None
@@ -607,7 +617,7 @@ def calibrate_units(
     unit scale can then match them) and CalibrationError when no candidate
     meets every target.
     """
-    _validate_targets(targets)
+    targets = _parse_targets(targets)
     if c_grid is None or i_grid is None:
         dc, di = default_grids()
         c_grid = dc if c_grid is None else c_grid
@@ -619,9 +629,9 @@ def calibrate_units(
     tables = _ConstraintTables(c_grid, i_grid, cell_template, tech, raw_fit)
     opt_target = next((t for t in targets if t["kind"] == "optimum"), None)
     mb_target = next((t for t in targets if t["kind"] == "max_bits"), None)
-    c_ref = float(opt_target["c_star"]) if opt_target else cell_template.c_star
-    i_ref = float(opt_target["i_star"]) if opt_target else cell_template.i_star
-    n_ref = int(opt_target["n"]) if opt_target else (int(mb_target["bits"]) if mb_target else 5)
+    c_ref = opt_target["c_star"] if opt_target else cell_template.c_star
+    i_ref = opt_target["i_star"] if opt_target else cell_template.i_star
+    n_ref = opt_target["n"] if opt_target else (mb_target["bits"] if mb_target else 5)
     try:
         a_ref, b_ref = tables.jitter_terms(n_ref, c_ref, i_ref)
         budget = (JITTER_MARGIN_FRACTION * cell_template.c_s_eff / i_ref) ** 2 / 9.0

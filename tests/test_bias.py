@@ -52,7 +52,7 @@ class TestBranchCurrents:
 
     def test_adjacent_ratio_is_two_for_any_vref(self, tech):
         for v_ref in (0.5, 0.7, 0.85):
-            currents = bs.branch_currents(v_ref, 6, tech)
+            currents = np.asarray(bs.branch_currents(v_ref, 6, tech))
             ratios = currents[:-1] / currents[1:]
             assert np.allclose(ratios, 2.0, rtol=1e-12)
 

@@ -188,6 +188,43 @@ class TestCalibrate:
         assert len(data["unit_scale"]) == 2 and all(data["targets_met"])
 
 
+    def test_targets_help_names_each_kinds_fields(self, run, capsys):
+        from delaymac.design_space import _TARGET_FIELDS
+
+        assert run("calibrate", "--help") == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for kind, fields in _TARGET_FIELDS.items():
+            named = ", ".join(key if default is None else f"{key}={default:g}" for key, default in fields.items())
+            assert f"{kind} ({named})" in text
+
+
+class TestCalibrationOverlay:
+    """A calibration.json sets the unit scale of every command whose config
+    does not set one, and of no other."""
+
+    def maxbits(self, run, tmp_path, name, *config):
+        out = tmp_path / f"{name}.csv"
+        assert run("maxbits", "--epsilon-grid", "1:20:8", "--grid-points", 16, *config, "--out", out) == 0
+        return out.read_bytes()
+
+    def test_overlay_replaces_only_a_defaulted_unit_scale(self, run, tmp_path):
+        from delaymac.params import DEFAULT_UNIT_SCALE
+
+        distinct = [s * 100.0 for s in DEFAULT_UNIT_SCALE]
+        explicit, scaled = tmp_path / "explicit.json", tmp_path / "scaled.json"
+        explicit.write_text(json.dumps({"unit_scale": list(DEFAULT_UNIT_SCALE)}))
+        scaled.write_text(json.dumps({"unit_scale": distinct}))
+        unfiled = self.maxbits(run, tmp_path, "unfiled", "--config", explicit)
+        at_file_scale = self.maxbits(run, tmp_path, "at-file-scale", "--config", scaled)
+        assert unfiled != at_file_scale
+
+        confdir = tmp_path / "confdir"
+        confdir.mkdir()
+        (confdir / "calibration.json").write_text(json.dumps({"unit_scale": distinct}))
+        assert self.maxbits(run, tmp_path, "explicit", "--config", explicit) == unfiled
+        assert self.maxbits(run, tmp_path, "defaulted") == at_file_scale
+
+
 class TestConfigHandling:
     def test_config_flag(self, run, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -260,6 +297,7 @@ class TestBoundaryErrors:
             '[{"kind": "max_bits", "bits": -1}]',
             '[{"kind": "feasible", "n": 49}]',
             '{"kind": "max_bits", "bits": 5}',
+            '[{"kind": "max_bits", "bits": 5, "epsilom": 3}, {"kind": "feasible", "n": 4, "c_star": 1e-15}]',
         ],
     )
     def test_calibrate_malformed_targets(self, fails_cleanly, tmp_path, text):

@@ -318,6 +318,9 @@ class TestCalibrationTargets:
             ({"kind": "feasible", "n": 4, "epsilon": "1"}, "epsilon"),
             ({"kind": "feasible", "n": 4, "epsilon": 10**400}, "epsilon"),
             ({"kind": "bits_reach", "bits": 1, "rel_tol": -0.1}, "rel_tol"),
+            ({"kind": "max_bits", "bits": 5, "epsilom": 3}, "epsilom"),
+            ({"kind": "feasible", "n": 4, "rel_tol": 0.3}, "rel_tol"),
+            ({"kind": "max_bits", "bits": 5, "grid_steps": 1}, "grid_steps"),
             ({"kind": "frobnicate"}, "kind"),
             ({"kind": ["max_bits"]}, "kind"),
             ("max_bits", "kind"),
@@ -381,3 +384,16 @@ def test_overflowing_detector_margin_ends_without_numpy_warnings(run, tmp_path, 
         warnings.simplefilter("error")
         assert run("region", "--bits", 5, "--grid-points", 16, "--config", path, "--out", "r.csv") == region_exit
         assert run("maxbits", "--epsilon-grid", "1:3:3", "--grid-points", 16, "--config", path, "--out", "m.csv") == 0
+
+
+@pytest.mark.parametrize("command, args, code", [
+    ("region", ("--bits", 5, "--out", "r.csv"), 2),
+    ("maxbits", ("--epsilon-grid", "1:3:3", "--out", "m.csv"), 0),
+    ("calibrate", (), 0),
+])
+def test_subnormal_c_span_ends_without_numpy_warnings(run, command, args, code):
+    # i / c overflows to inf on the row whose factor underflows to 0: the NaN
+    # product fails c2, as a zero row factor means
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(command, "--grid-points", 16, "--c-span", "1e-320:50f", *args) == code

@@ -1,5 +1,5 @@
 """Each command line, run through the launcher in a fresh interpreter, loads
-only the modules it runs: numpy stays out of --version, --help, energy and
+only the modules it runs: numpy stays out of --version, --help, energy, bias and
 every usage or config error, and no command loads another command's model."""
 
 import json
@@ -33,6 +33,7 @@ CASES = [
     (("--help",), 0, ("numpy", *MODELS)),
     (("region", "--help"), 0, ("numpy", *MODELS)),
     (("energy", "--out", "e"), 0, ("numpy", *MODELS)),
+    (("bias", "--bits", "5", "--out", "b"), 0, ("numpy", *MODELS)),
     (("region", "--bits", "x", "--out", "r.csv"), 1, ("numpy", *MODELS)),
     (("region", "--bits", "5", "--config", "typo.json", "--out", "r.csv"), 1, ("numpy", *MODELS)),
     (("region", "--bits", "5", *GRID, "--out", "r.csv"), 0, ("delaymac.multiplier", "delaymac.jitter")),
