@@ -6,6 +6,10 @@ R = i_star / c_star, and (3) firing a threshold detector whose subthreshold
 FET charges the detector node until a half-latch flips. Each operation here
 is a pure function of its arguments. vre_transient, the detector-node
 voltage in time, is the independent oracle of latch_delay's closed form.
+
+drop, detector_margin and detector_delay, unchecked over floats or arrays,
+are the one definition of dv0, the detector margin and t_d. The checked
+scalar forms return their float, so both paths run the same numpy ufuncs.
 """
 
 from __future__ import annotations
@@ -13,13 +17,30 @@ from __future__ import annotations
 import math
 import sys
 
+import numpy as np
+
 from .errors import RegimeError
 from .params import CellDesign, TechnologyProfile
 
 
+def drop(v_a, c_star, cell: CellDesign, tech: TechnologyProfile):
+    """dv0 = (c_s_eff/c_star) * max(v_a - v_thn, 0) + dq_of_md/c_star, unchecked."""
+    linear = np.where(v_a > tech.v_thn, (cell.c_s_eff / c_star) * (v_a - tech.v_thn), 0.0)
+    return linear + cell.dq_of_md / c_star
+
+
+def detector_margin(dv0, ramp, cell: CellDesign, tech: TechnologyProfile):
+    """ramp * c_re / (i_0 * exp(dv0/v_t)) * (v_thn/v_t), ramp = i_star/c_star, unchecked."""
+    return ramp * cell.c_re / (tech.i_0 * np.exp(dv0 / tech.v_t)) * (tech.v_thn / tech.v_t)
+
+
+def detector_delay(dv0, ramp, cell: CellDesign, tech: TechnologyProfile):
+    """t_d = (v_t/ramp) * log1p(detector_margin(dv0, ramp)), unchecked."""
+    return (tech.v_t / ramp) * np.log1p(detector_margin(dv0, ramp, cell, tech))
+
+
 def initial_drop(v_a: float, cell: CellDesign, tech: TechnologyProfile) -> float:
-    """Drop dv0 of the storage-cap voltage below v_dd, in volts:
-    (c_s_eff/c_star) * max(v_a - v_thn, 0) + dq_of/c_star.
+    """Drop dv0 of the storage-cap voltage below v_dd in volts, drop(v_a, c_star).
 
     Within the validity region (c_star above init_validity_min_cstar),
     0 <= dv0 < v_dd. The charge-sharing term is clamped at zero below
@@ -28,8 +49,7 @@ def initial_drop(v_a: float, cell: CellDesign, tech: TechnologyProfile) -> float
     """
     if not 0 <= v_a <= tech.v_dd:
         raise RegimeError(f"v_a={v_a} outside [0, v_dd={tech.v_dd}]")
-    linear = 0.0 if v_a <= tech.v_thn else (cell.c_s_eff / cell.c_star) * (v_a - tech.v_thn)
-    return linear + cell.dq_of_md / cell.c_star
+    return float(drop(v_a, cell.c_star, cell, tech))
 
 
 def init_validity_min_cstar(cell: CellDesign, tech: TechnologyProfile) -> float:
@@ -86,30 +106,29 @@ def latch_point(cell: CellDesign, tech: TechnologyProfile) -> float:
 def latch_delay(dv0: float, cell: CellDesign, tech: TechnologyProfile) -> float:
     """Exact latch firing time t_d, in seconds, for an initial drop dv0.
 
-    t_d = (v_t/R) * ln(margin + 1) where margin is td_linearity_margin(dv0).
-    In the steep-detector limit (margin >> 1) this is affine in dv0 with
-    slope -1/R, and dv0 + R * t_d approaches latch_point.
+    t_d = (v_t/R) * ln(margin + 1) = detector_delay(dv0, R), where margin is
+    td_linearity_margin(dv0). In the steep-detector limit (margin >> 1) this
+    is affine in dv0 with slope -1/R, and dv0 + R * t_d approaches latch_point.
     """
     if dv0 >= tech.v_thp:
         raise RegimeError(
             f"dv0={dv0} >= v_thp={tech.v_thp}: detector leaves the exponential regime"
         )
     latch_point(cell, tech)  # raises RegimeError where the latch point is ill-defined
-    margin = td_linearity_margin(cell, tech, dv0_max=dv0)
-    return (tech.v_t / cell.ramp_rate) * math.log1p(margin)
+    td_linearity_margin(cell, tech, dv0_max=dv0)  # raises RegimeError outside its range
+    return float(detector_delay(dv0, cell.ramp_rate, cell, tech))
 
 
 def td_linearity_margin(cell: CellDesign, tech: TechnologyProfile, dv0_max: float) -> float:
     """Dimensionless detector-linearity ratio; the delay is affine when >> 1.
 
-    ratio = (i_star/c_star) * c_re / (i_0 * exp(dv0_max/v_t)) * (v_thn/v_t).
-    Raises RegimeError where exp(dv0_max/v_t) would overflow, comparing the
-    exponent so that exp is never called out of range.
+    ratio = detector_margin(dv0_max, R). Raises RegimeError where
+    exp(dv0_max/v_t) would overflow, comparing the exponent so that exp is
+    never called out of range.
     """
     if not 0 <= dv0_max < tech.v_dd:
         raise RegimeError(f"dv0_max={dv0_max} outside [0, v_dd)")
     exponent = dv0_max / tech.v_t
     if exponent > math.log(sys.float_info.max):
         raise RegimeError(f"dv0_max/v_t = {exponent:.4g} overflows the detector's exponential law")
-    base = (cell.i_star / cell.c_star) * cell.c_re / (tech.i_0 * math.exp(exponent))
-    return base * (tech.v_thn / tech.v_t)
+    return float(detector_margin(dv0_max, cell.ramp_rate, cell, tech))

@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cell import init_validity_min_cstar
+from .cell import detector_margin, drop, init_validity_min_cstar
 from .errors import CalibrationError, FieldValidationError, InfeasibleRegionError, RegimeError
 from .params import (
     DEFAULT_C_SPAN,
@@ -187,21 +187,24 @@ class _ConstraintTables:
     - c1 is a suffix in C, the rows from c1_start on: c_grid is strictly
       increasing, so c_grid > floor holds exactly from searchsorted on.
     - c2 at n is a per-row threshold in i, the columns from the row's start.
-      margin0 = (i / C) * f(C) * v_thn / v_t is i times positive per-row
-      constants, each step a correctly rounded op, so every row is
-      non-decreasing in i; and 2**-n scales it exactly.
+      It holds where cell.detector_margin(dv0, i * 2**-n / C) > 1, with the
+      row's drop dv0 = cell.drop(v_dd, C), where it is worst. The ramp
+      i * 2**-n / C (2**-n is exact) enters the margin only through a
+      product and a quotient with positive per-row constants, each a
+      correctly rounded op, so every row is non-decreasing in i.
     - c3 at (n, epsilon) is a per-column prefix in C, the rows before the
       column's end. It holds iff epsilon is at most the critical margin
-      rhs0 / (3 * sqrt(s1 * a_n + s2 * b_n)). The jitter terms
-      a_n = k1 * C / i_slow**p1 and b_n = k2 * (C / i_slow)**q2
-      (i_slow = i_star_fastest * 2**-n) are non-decreasing in C at a fixed
-      current, so the critical margin is non-increasing down each column.
+      rhs0 / (3 * sqrt(s1 * a_n + s2 * b_n)). The jitter terms a_n and b_n
+      are JitterFit.var_sd and var_td at unit scale (1, 1) and current
+      i_slow = i_star_fastest * 2**-n; they are non-decreasing in C at a
+      fixed current, so the critical margin is non-increasing down each
+      column.
 
     A bisection vectorized over all rows or columns at once finds each
-    boundary. It evaluates the constraint formulas with array ufuncs on
-    contiguous gathered vectors, never on numpy scalars, whose exp and power
-    can differ from the SIMD loops in the last ulp: so each boundary sits
-    exactly where the mask evaluated over the whole grid changes.
+    boundary. It evaluates the cell and fit formulas at gathered points, and
+    a scalar call of cell.initial_drop and cell.td_linearity_margin runs the
+    same numpy ufuncs on the same operands: so each boundary sits exactly
+    where the mask evaluated over the whole grid, or point by point, changes.
 
     The jitter terms do not depend on the unit scale, so candidate scales
     during calibration only recombine stored terms, and scaling (s1, s2) by
@@ -230,19 +233,15 @@ class _ConstraintTables:
     ):
         self.c_grid = _validate_grid(c_grid, "grid_cstar")
         self.i_grid = _validate_grid(i_grid, "grid_istar")
-        self.fit = fit
+        self.cell, self.tech = cell, tech
+        self.fit = fit.with_unit_scale((1.0, 1.0))  # the scale-free terms
         self.c1_start = int(np.searchsorted(self.c_grid, init_validity_min_cstar(cell, tech), "right"))
-        # detector margin at n = 0 is (i / C) * row factor * v_thn / v_t, with
-        # the initialization drop for v_a = v_dd, where it is worst; halving
-        # the slowest current halves it exactly. Overflow has a defined meaning
-        # here: an infinite drop or exp makes a row factor 0, so constraint 2
-        # fails on the row; an infinite quotient makes it inf, so c2 holds.
-        # An infinite jitter allowance rhs0 holds for any finite variance
+        # Overflow has a defined meaning here: an infinite drop makes the
+        # detector margin 0 or NaN, so constraint 2 fails on the row, and an
+        # infinite jitter allowance rhs0 holds for any finite variance
         with np.errstate(over="ignore"):
-            dv0_vdd = (cell.c_s_eff * (tech.v_dd - tech.v_thn) + cell.dq_of_md) / self.c_grid
-            self._margin_rows = cell.c_re / (tech.i_0 * np.exp(dv0_vdd / tech.v_t))
+            self.dv0_vdd = drop(tech.v_dd, self.c_grid, cell, tech)
             self.rhs0 = JITTER_MARGIN_FRACTION * cell.c_s_eff / self.i_grid
-        self._margin_volts = tech.v_thn / tech.v_t
         # the front's terms (a, b) and c_grid rows, and the last unit scale
         # asked with its column margins and their row max
         self._front: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
@@ -253,13 +252,13 @@ class _ConstraintTables:
         at each bit count, i_grid.size where none does."""
         rows = self.c_grid.size
         lane_rows = np.tile(np.arange(rows), len(ns))
-        c, f = self.c_grid[lane_rows], self._margin_rows[lane_rows]
+        c, dv0 = self.c_grid[lane_rows], self.dv0_vdd[lane_rows]
         halving = np.repeat([2.0**-n for n in ns], rows)
 
         def meets(j):
-            # an infinite margin meets c2 and inf times a zero row factor, NaN, fails it, as in __init__
+            # an infinite margin meets c2; a NaN one, inf over an infinite exp, fails it
             with np.errstate(over="ignore", invalid="ignore"):
-                return (self.i_grid[j] / c) * f * self._margin_volts * halving > 1.0
+                return detector_margin(dv0, self.i_grid[j] * halving / c, self.cell, self.tech) > 1.0
 
         return _first_true(meets, self.i_grid.size, lane_rows.size).reshape(len(ns), rows)
 
@@ -281,7 +280,7 @@ class _ConstraintTables:
         """
         i_slow = i * 2.0**-n
         with np.errstate(divide="ignore", over="ignore"):
-            return self.fit.k1 * c / i_slow**self.fit.p1, self.fit.k2 * (c / i_slow) ** self.fit.q2
+            return self.fit.var_sd(c, i_slow), self.fit.var_td(c, i_slow)
 
     def critical_epsilon(self, a: np.ndarray, b: np.ndarray, unit_scale: Tuple[float, float]) -> np.ndarray:
         """Largest epsilon meeting the jitter bound at each point with terms (a, b).
@@ -625,8 +624,7 @@ def calibrate_units(
     if not targets:
         return CalibrationResult(unit_scale=(1.0, 1.0), residual=0.0, targets_met=(), convention="identity")
 
-    raw_fit = fit.with_unit_scale((1.0, 1.0))
-    tables = _ConstraintTables(c_grid, i_grid, cell_template, tech, raw_fit)
+    tables = _ConstraintTables(c_grid, i_grid, cell_template, tech, fit)
     opt_target = next((t for t in targets if t["kind"] == "optimum"), None)
     mb_target = next((t for t in targets if t["kind"] == "max_bits"), None)
     c_ref = opt_target["c_star"] if opt_target else cell_template.c_star

@@ -6,7 +6,9 @@ Monte-Carlo acceptance criterion and the noisy engine all read a cell's
 variance from it, with no separate reference-path term.
 
 A fit always carries its calibrated unit scale (JitterFit.unit_scale), and
-a noisy chain draws jitter iff it is given a fit.
+a noisy chain draws jitter iff it is given a fit. The two variance laws
+live on the fit (JitterFit.var_sd and var_td); this module checks their
+value per cell.
 
 Every jitter sample is drawn by _draw_jitter from one Generator(PCG64(seed))
 per evaluation: first one normal per weighted cell for trial 0, then one
@@ -39,39 +41,28 @@ class JitterBudget:
         return float(np.sqrt(self.var_sd + self.var_td))
 
 
-def sd_jitter_fitted(cell: CellDesign, fit: JitterFit) -> float:
-    """Fitted steady-discharge variance s1 * k1 * c_star / i_star**p1, seconds^2.
-
-    Raises RegimeError when the variance leaves the float range.
-    """
+def _checked(var_of, cell: CellDesign, law: str) -> float:
+    """var_of(c_star, i_star); RegimeError naming the law when it leaves the float range."""
     try:
-        var = fit.unit_scale[0] * fit.k1 * cell.c_star / cell.i_star**fit.p1
-    except (OverflowError, ZeroDivisionError):  # i_star**p1 left the float range
+        var = var_of(cell.c_star, cell.i_star)
+    except (OverflowError, ZeroDivisionError):  # a float power left the float range
         var = math.inf
     if not math.isfinite(var):
-        raise RegimeError(
-            f"the steady-discharge variance s1 * k1 * c_star / i_star**p1 at i_star={cell.i_star:.4g} A, "
-            f"p1={fit.p1:.4g} leaves the float range"
-        )
+        raise RegimeError(f"the {law} leaves the float range")
     return var
+
+
+def sd_jitter_fitted(cell: CellDesign, fit: JitterFit) -> float:
+    """The cell's fitted steady-discharge variance JitterFit.var_sd, seconds^2, checked."""
+    return _checked(fit.var_sd, cell, "steady-discharge variance s1 * k1 * c_star / i_star**p1 "
+                    f"at i_star={cell.i_star:.4g} A, p1={fit.p1:.4g}")
 
 
 def td_jitter_fitted(cell: CellDesign, fit: JitterFit) -> float:
-    """Fitted threshold-detector variance s2 * k2 * (c_star/i_star)**q2, seconds^2.
-
-    Depends on the design only through the ramp rate R = i_star/c_star.
-    Raises RegimeError when the variance leaves the float range.
-    """
-    try:
-        var = fit.unit_scale[1] * fit.k2 * (cell.c_star / cell.i_star) ** fit.q2
-    except OverflowError:  # (c_star/i_star)**q2 left the float range; q2 > 0, so 0.0**q2 is 0
-        var = math.inf
-    if not math.isfinite(var):
-        raise RegimeError(
-            f"the threshold-detector variance s2 * k2 * (c_star/i_star)**q2 at c_star={cell.c_star:.4g} F, "
-            f"i_star={cell.i_star:.4g} A, q2={fit.q2:.4g} leaves the float range"
-        )
-    return var
+    """The cell's fitted threshold-detector variance JitterFit.var_td, seconds^2,
+    checked; it depends on the design only through the ramp rate i_star/c_star."""
+    return _checked(fit.var_td, cell, "threshold-detector variance s2 * k2 * (c_star/i_star)**q2 "
+                    f"at c_star={cell.c_star:.4g} F, i_star={cell.i_star:.4g} A, q2={fit.q2:.4g}")
 
 
 def total_jitter(cell: CellDesign, fit: JitterFit) -> JitterBudget:

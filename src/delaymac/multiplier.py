@@ -32,7 +32,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cell import initial_drop, latch_delay, latch_point
+from .cell import detector_delay, drop, initial_drop, latch_delay, latch_point
 from .errors import RegimeError
 from .jitter import _draw_jitter, total_jitter
 from .params import INPUT_FLOOR_V, CellDesign, JitterFit, MultiplierSpec, TechnologyProfile, require_weight_fits
@@ -152,16 +152,13 @@ def simulate_chain(
             t_base[i] = latch_delay(dv0_ref, cell_i, tech)
     if model == "ideal":
         rd = unit * dv + distortion
-    else:  # cell.initial_drop and cell.latch_delay over the whole array
-        dv0 = np.where(v_as <= tech.v_thn, 0.0, (cell.c_s_eff / cell.c_star) * (v_as - tech.v_thn))
-        dv0 = dv0 + cell.dq_of_md / cell.c_star
+    else:  # the functions behind cell.initial_drop and cell.latch_delay, over the whole array
+        dv0 = drop(v_as, cell.c_star, cell, tech)
         hot = bits.any(axis=1) & (dv0 >= tech.v_thp)
         if hot.any():
             raise RegimeError(
                 f"dv0={dv0[hot][0]} >= v_thp={tech.v_thp}: detector leaves the exponential regime")
-        ramp = i_star / cell.c_star
-        margin = ramp * cell.c_re / (tech.i_0 * np.exp(dv0 / tech.v_t))[:, None] * (tech.v_thn / tech.v_t)
-        rd = ((tech.v_t / ramp) * np.log1p(margin) - t_base) + distortion
+        rd = (detector_delay(dv0[:, None], i_star / cell.c_star, cell, tech) - t_base) + distortion
 
     j = 0.0
     if fit is None:

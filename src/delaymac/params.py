@@ -224,7 +224,9 @@ class JitterFit:
     (k1, p1, k2, q2) are kept verbatim from the source characterization; the
     unit convention they were fitted in is unrecorded, so the calibrated
     scale pair unit_scale = (s1, s2), always two finite numbers > 0, maps
-    them onto SI. A noisy chain draws jitter iff it is given a fit.
+    them onto SI. A noisy chain draws jitter iff it is given a fit. The
+    methods var_sd and var_td are the one definition of these laws;
+    design_space reads them at unit scale (1, 1) as its scale-free terms.
     """
 
     k1: float = 2.95e-16
@@ -244,3 +246,11 @@ class JitterFit:
     def with_unit_scale(self, unit_scale: Tuple[float, float]) -> "JitterFit":
         """This fit calibrated to unit_scale, an (s1, s2) pair."""
         return replace(self, unit_scale=unit_scale)
+
+    def var_sd(self, c_star, i_star):
+        """var_sd over floats or arrays, unchecked: a float power may raise OverflowError."""
+        return self.unit_scale[0] * self.k1 * c_star / i_star**self.p1
+
+    def var_td(self, c_star, i_star):
+        """var_td over floats or arrays, as var_sd."""
+        return self.unit_scale[1] * self.k2 * (c_star / i_star) ** self.q2
