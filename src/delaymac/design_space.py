@@ -164,18 +164,6 @@ def _first_true(pred, size: int, lanes: int) -> np.ndarray:
         lo = np.where(open_ & ~ok, mid + 1, lo)
 
 
-def _gallop(pred, size: int) -> int:
-    """_first_true for one lane, in about 2 * log2(k + 1) calls of pred for a
-    first true index k: it probes 0, 1, 2, 4, ... and bisects the bracket."""
-    lo, hi = 0, 0  # pred is false below lo, and true at hi if hi < size
-    while hi < size and not pred(hi):
-        lo, hi = hi + 1, min(max(1, 2 * hi), size)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if pred(mid) else (mid + 1, hi)
-    return hi
-
-
 class _ConstraintTables:
     """The constraints over one grid, as boundaries, and the per-column
     critical margins at any unit scale.
@@ -459,6 +447,9 @@ _TARGET_RANGES: Dict[str, Tuple[float, float]] = {
 #: Residual contribution of a missed hard target.
 _MISS_PENALTY = 1e3
 
+#: Relative distance by which each calibration window edge is pulled in.
+_EDGE_CLEARANCE = 1e-12
+
 
 @dataclass(frozen=True)
 class CalibrationResult:
@@ -560,8 +551,10 @@ def _anchor_interval(tables, targets, scale_of) -> Optional[Tuple[float, float]]
 
     Every scale_of is linear in m, so eps_crit at scale_of(m) is the profile
     at m = 1 times m**-0.5, and max_bits(eps) == bits exactly for m in
-    ((eps_crit(bits + 1) / eps)**2, (eps_crit(bits) / eps)**2]. Returns None
-    when that window is empty or unbounded.
+    ((eps_crit(bits + 1) / eps)**2, (eps_crit(bits) / eps)**2]. Each edge is
+    pulled in by _EDGE_CLEARANCE, far above the ulps by which scale_of and the
+    profile round: the interval only places samples, and every candidate is
+    checked against every target. None when the window is empty or unbounded.
     """
     anchor = next((t for t in targets if t["kind"] == "max_bits"), None)
     if anchor is None:
@@ -570,21 +563,9 @@ def _anchor_interval(tables, targets, scale_of) -> Optional[Tuple[float, float]]
     crit = tables.profile(scale_of(1.0))
     if bits == 0 or crit[bits] == 0.0:
         return None
-    lo = float(np.nextafter((crit[bits] / eps) ** 2, math.inf))
-    hi = float((crit[bits - 1] / eps) ** 2)
-    if not lo <= hi:
-        return None
-    # scale_of and the profile round, so an edge can land ulps outside: move
-    # each edge in to where the target holds, galloping over ulp offsets (the
-    # int64 bit patterns order positive floats), as max_bits falls with m
-    lo, hi = np.array([lo, hi]).view(np.int64).tolist()
-
-    def max_bits_at(ulps: int) -> int:
-        return tables.max_bits(eps, scale_of(float(np.int64(ulps).view(np.float64))))
-
-    lo += _gallop(lambda k: max_bits_at(lo + k) <= bits, hi - lo + 1)
-    hi -= _gallop(lambda k: max_bits_at(hi - k) >= bits, hi - lo + 1)
-    return tuple(np.array([lo, hi]).view(np.float64).tolist()) if lo <= hi else None
+    lo = float((crit[bits] / eps) ** 2) * (1.0 + _EDGE_CLEARANCE)
+    hi = float((crit[bits - 1] / eps) ** 2) * (1.0 - _EDGE_CLEARANCE)
+    return (lo, hi) if lo <= hi else None
 
 
 def calibrate_units(
@@ -601,11 +582,12 @@ def calibrate_units(
     defined to carry: 29 ratios of the two jitter terms at a reference
     design point (the optimum target's, or the nominal cell), each ray
     sampled at up to 17 distinct magnitudes across the window where the
-    max_bits target holds, then 9 ratios around the best candidate meeting
-    every target. Every target of every candidate scale, the optimum
-    included, reads the one per-scale column table of _ConstraintTables
-    (front margins and their row max), computed once per candidate; no
-    candidate builds a grid.
+    max_bits target holds (read in closed form, its edges pulled in by
+    _EDGE_CLEARANCE), then 9 ratios around the ratio of the winning ray,
+    the one whose candidate meets every target at the lowest residual.
+    Every target of every candidate scale, the optimum included, reads the
+    one per-scale column table of _ConstraintTables (front margins and
+    their row max), computed once per candidate; no candidate builds a grid.
 
     The lowest residual wins, the first found on a tie; tied_scales counts
     the distinct scales tied with it, and more than one means the targets
@@ -643,7 +625,10 @@ def calibrate_units(
             "so no finite unit scale meets the targets"
         )
 
-    candidates: List[Tuple[float, Tuple[float, float], Tuple[bool, ...], str]] = []
+    # (residual, scale, targets met, the ray's sd/td ratio x)
+    candidates: List[Tuple[float, Tuple[float, float], Tuple[bool, ...], float]] = []
+
+    label = "per-term pair, sd/td ratio {:.4g}".format
 
     def usable(scale: Tuple[float, float]) -> bool:
         """A scale JitterFit accepts: an entry that under- or overflowed is not."""
@@ -661,14 +646,13 @@ def calibrate_units(
         interval = _anchor_interval(tables, targets, scale_of)
         if interval is None:
             return
-        label = f"per-term pair, sd/td ratio {x:.4g}"
         # equal magnitudes give equal candidates, so each is evaluated once
         for m in dict.fromkeys(np.geomspace(interval[0], interval[1], 17).tolist()):
             scale = scale_of(m)
             if not usable(scale):
                 continue
             met, residual = _evaluate_targets(tables, targets, scale)
-            candidates.append((residual, scale, tuple(met), label))
+            candidates.append((residual, scale, tuple(met), x))
 
     for x in np.geomspace(1e-5, 1e2, 29):
         scan(float(x))
@@ -678,16 +662,14 @@ def calibrate_units(
         if candidates:
             best = min(candidates, key=lambda c: c[0])
             missed = [i for i, ok in enumerate(best[2]) if not ok]
-            detail = f"; best candidate ({best[3]}) missed target indices {missed}"
+            detail = f"; best candidate ({label(best[3])}) missed target indices {missed}"
         raise CalibrationError(f"no unit scale satisfies all calibration targets{detail}")
-    # refine around the best coarse candidate
-    s1_b, s2_b = min(met_any, key=lambda c: c[0])[1]
-    x_b = (s1_b * a_ref) / (s2_b * b_ref)
-    for x in x_b * np.geomspace(0.5, 2.0, 9):
+    # refine around the winning ray's own ratio
+    for x in min(met_any, key=lambda c: c[0])[3] * np.geomspace(0.5, 2.0, 9):
         scan(float(x))
     met_any = [c for c in candidates if all(c[2])]
-    residual, scale, met, label = min(met_any, key=lambda c: c[0])
+    residual, scale, met, x = min(met_any, key=lambda c: c[0])
     tied = len({c[1] for c in met_any if c[0] == residual})
     return CalibrationResult(
-        unit_scale=scale, residual=residual, targets_met=met, convention=label, tied_scales=tied
+        unit_scale=scale, residual=residual, targets_met=met, convention=label(x), tied_scales=tied
     )

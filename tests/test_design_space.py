@@ -149,15 +149,15 @@ class TestCalibration:
     @pytest.mark.parametrize(
         "points, unit_scale, residual, convention",
         [
-            (64, (3.057459377384319e-12, 0.33794080777260843), 0.3191663920359983,
+            (64, (3.057459377387377e-12, 0.3379408077729464), 0.3191663920364984,
              "per-term pair, sd/td ratio 0.007071"),
-            (128, (2.6843690551471173e-12, 0.3730844671473809), 0.32495318828043124,
+            (128, (2.6843690551494663e-12, 0.37308446714770743), 0.3249531882808688,
              "per-term pair, sd/td ratio 0.005623"),
         ],
     )
     def test_default_targets_golden(self, cell, tech, fit, points, unit_scale, residual, convention):
-        # exact values of the search that built a full region per candidate
-        # for the optimum target; reading the column table changes no bit
+        # exact values of the search whose magnitude windows are read in
+        # closed form, each edge pulled in by _EDGE_CLEARANCE
         result = ds.calibrate_units(ds.DEFAULT_CALIBRATION_TARGETS, fit, tech, cell, *ds.default_grids(points))
         assert result.unit_scale == unit_scale
         assert result.residual == residual
@@ -256,8 +256,10 @@ class TestProfileOracle:
                 # the region masks agree with the profile on the window edges
                 assert not tables.region(bits, eps, scale_of(m)).is_empty
                 assert tables.region(bits + 1, eps, scale_of(m)).is_empty
-            assert tables.max_bits(eps, scale_of(lo * (1 - 1e-12))) > bits
-            assert tables.max_bits(eps, scale_of(hi * (1 + 1e-12))) < bits
+            # each edge sits inside the exact window by the clearance, so
+            # twice the clearance outward crosses it
+            assert tables.max_bits(eps, scale_of(lo * (1 - 2 * ds._EDGE_CLEARANCE))) > bits
+            assert tables.max_bits(eps, scale_of(hi * (1 + 2 * ds._EDGE_CLEARANCE))) < bits
 
     def test_unbounded_anchor_window_is_not_sampled(self, oracle):
         scaled, tables, _ = oracle
