@@ -2,8 +2,9 @@
 
 Importing numpy takes most of a short command's start-up, so only region,
 maxbits, calibrate and simulate load it, in the handler that runs their
-model; --version, --help, energy, bias and every usage or config error
-start without it (see the cli module docstring).
+model once every flag and input file is checked: --version, --help, energy,
+bias and every flag or input-file error exit without it, and only the
+models' own domain checks run after it loads (see the cli module docstring).
 
 No delaymac code calls BLAS, yet numpy's OpenBLAS starts one worker thread
 per extra core when numpy loads, which costs every array command tens of

@@ -33,9 +33,12 @@ exits 1.
 
 Importing numpy takes most of a short command's start-up, so only the
 commands that compute on arrays load it: region, maxbits and calibrate
-(design_space) and simulate (multiplier and jitter). Each loads it in its
-handler and imports no other command's model. --version, --help, energy,
-bias and every usage or config error start without numpy.
+(design_space) and simulate (multiplier and jitter). Each handler checks
+every flag and input file before it imports its model, and imports no other
+command's model: --version, --help, energy, bias and every flag or
+input-file error exit without numpy. Only the models' own domain checks run
+after it loads: v_a and v_a0 against v_dd, a weight against n_bits, and the
+regime and overflow errors.
 
 The launcher, delaymac.__main__.run (python -m delaymac and the delaymac
 console script), pins OpenBLAS to one thread before numpy loads: no command
@@ -57,18 +60,13 @@ from pathlib import Path
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from . import __version__
-from .config import ResolvedConfig, default_config, load_config, read_json
+from .config import (
+    DEFAULT_CALIBRATION_TARGETS, TARGET_FIELDS, ResolvedConfig, default_config, load_config, parse_targets, read_json,
+)
 from .errors import CalibrationError, DelaymacError
 from .params import (
-    DEFAULT_C_SPAN,
-    DEFAULT_GRID_POINTS,
-    DEFAULT_I_SPAN,
-    MAX_BITS_CAP,
-    MAX_GRID_POINTS,
-    MIN_GRID_POINTS,
-    JitterFit,
-    MultiplierSpec,
-    require_bit_count,
+    DEFAULT_C_SPAN, DEFAULT_GRID_POINTS, DEFAULT_I_SPAN, MAX_BITS_CAP, MAX_GRID_POINTS, MIN_GRID_POINTS,
+    JitterFit, MultiplierSpec, require_bit_count, require_epsilon, require_grid_points,
 )
 from .units import coerce_quantity, format_number
 
@@ -287,12 +285,19 @@ def _parse_span(text: str) -> Tuple[float, float]:
     return lo, hi
 
 
-def _grids(args):
-    from .design_space import default_grids
-
+def _grid_spans(args) -> Tuple[Tuple[float, float], Tuple[float, float]]:
+    """The (c_star, i_star) spans of the grid flags, each flag checked; needs no numpy."""
     c_span = _parse_span(args.c_span) if args.c_span else DEFAULT_C_SPAN
     i_span = _parse_span(args.i_span) if args.i_span else DEFAULT_I_SPAN
-    return default_grids(args.grid_points, c_span, i_span)
+    require_grid_points(args.grid_points)
+    return c_span, i_span
+
+
+def _grids(args, spans: Optional[Tuple[Tuple[float, float], Tuple[float, float]]] = None):
+    """The grids of the grid flags, from spans if _grid_spans already gave them."""
+    from .design_space import default_grids
+
+    return default_grids(args.grid_points, *(spans or _grid_spans(args)))
 
 
 def _add_grid_flags(parser) -> None:
@@ -307,7 +312,9 @@ def _add_grid_flags(parser) -> None:
 def cmd_region(args, run: Run) -> int:
     cfg = run.cfg
     require_bit_count(args.bits, "--bits")
-    c_grid, i_grid = _grids(args)
+    spans = _grid_spans(args)
+    require_epsilon(args.epsilon)
+    c_grid, i_grid = _grids(args, spans)
     region = constraint_region(
         args.bits, c_grid, i_grid, cfg.cell, cfg.tech, cfg.fit, epsilon=args.epsilon
     )
@@ -323,10 +330,6 @@ def cmd_region(args, run: Run) -> int:
 
 
 def cmd_maxbits(args, run: Run) -> int:
-    import numpy as np
-
-    from .design_space import max_bits_curve
-
     cfg = run.cfg
     parts = args.epsilon_grid.split(":")
     if len(parts) != 3:
@@ -337,7 +340,12 @@ def cmd_maxbits(args, run: Run) -> int:
         raise DelaymacError(f"--epsilon-grid must be lo:hi:steps (got {args.epsilon_grid!r}): {exc}") from exc
     if not 1 <= steps <= MAX_EPSILON_STEPS or not 1.0 <= lo <= hi < math.inf:
         raise DelaymacError(f"epsilon grid needs 1 to {MAX_EPSILON_STEPS} steps and finite 1 <= lo <= hi")
-    c_grid, i_grid = _grids(args)
+    spans = _grid_spans(args)
+    import numpy as np
+
+    from .design_space import max_bits_curve
+
+    c_grid, i_grid = _grids(args, spans)
     epsilons = [float(eps) for eps in np.linspace(lo, hi, steps)]
     n_max = max_bits_curve(epsilons, c_grid, i_grid, cfg.cell, cfg.tech, cfg.fit)
     rows = list(zip(epsilons, n_max))
@@ -353,8 +361,6 @@ def _parse_float_list(text: str, flag: str) -> List[float]:
 
 
 def cmd_simulate(args, run: Run) -> int:
-    import numpy as np
-
     cfg = run.cfg
     try:
         weights = [int(x) for x in args.weights.split(",") if x.strip() != ""]
@@ -367,6 +373,8 @@ def cmd_simulate(args, run: Run) -> int:
         raise DelaymacError(f"--trials must be 1 to {MAX_TRIALS} (got {args.trials})")
     if args.seed < 0:
         raise DelaymacError(f"--seed must be >= 0 (got {args.seed})")
+    import numpy as np
+
     model = "ideal" if args.model == "noisy" else args.model
     fit = cfg.fit if args.model == "noisy" else None
     chain = simulate_chain(
@@ -432,13 +440,11 @@ def cmd_bias(args, run: Run) -> int:
 
 
 def cmd_calibrate(args, run: Run) -> int:
-    from .design_space import DEFAULT_CALIBRATION_TARGETS
-
     cfg = run.cfg
-    targets = list(DEFAULT_CALIBRATION_TARGETS)
-    if args.targets:
-        targets = read_json(args.targets)
-    c_grid, i_grid = _grids(args)
+    targets = read_json(args.targets) if args.targets else DEFAULT_CALIBRATION_TARGETS
+    spans = _grid_spans(args)
+    targets = parse_targets(targets)
+    c_grid, i_grid = _grids(args, spans)
     try:
         result = calibrate_units(targets, cfg.fit, cfg.tech, cfg.cell, c_grid=c_grid, i_grid=i_grid)
     except CalibrationError as exc:
@@ -501,9 +507,10 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
 
     p = add("calibrate", cmd_calibrate, "resolve the jitter-fit unit scale and persist it")
-    p.add_argument("--targets", default=None, help="JSON list of custom targets, each a kind and its fields:"
-                   " max_bits (bits, epsilon=1), feasible (n, epsilon=1), infeasible (n, epsilon=1), optimum"
-                   " (n, c_star, i_star, epsilon=1, grid_steps=1), bits_reach (bits, epsilon=1, rel_tol=0.3)")
+    kinds = [f"{kind} ({', '.join(key if d is None else f'{key}={d:g}' for key, d in fields.items())})"
+             for kind, fields in TARGET_FIELDS.items()]
+    p.add_argument("--targets", default=None,
+                   help="JSON list of custom targets, each a kind and its fields: " + ", ".join(kinds))
     _add_grid_flags(p)
 
     return parser

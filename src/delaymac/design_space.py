@@ -25,26 +25,20 @@ a unit scale, so calibration builds no region.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .cell import detector_margin, drop, init_validity_min_cstar
+# the target contract and the grid and margin checks need no numpy, so the
+# CLI runs them before it loads this module; tests and perfbench read
+# DEFAULT_CALIBRATION_TARGETS, _TARGET_FIELDS and MAX_GRID_POINTS from here
+from .config import DEFAULT_CALIBRATION_TARGETS, TARGET_FIELDS as _TARGET_FIELDS, parse_targets  # noqa: F401
 from .errors import CalibrationError, FieldValidationError, InfeasibleRegionError, RegimeError
-from .params import (
-    DEFAULT_C_SPAN,
-    DEFAULT_GRID_POINTS,
-    DEFAULT_I_SPAN,
-    MAX_BITS_CAP,
-    MAX_GRID_POINTS,
-    MIN_GRID_POINTS,
-    CellDesign,
-    JitterFit,
-    TechnologyProfile,
-    is_finite_number,
-    require_bit_count,
+from .params import (  # noqa: F401
+    DEFAULT_C_SPAN, DEFAULT_GRID_POINTS, DEFAULT_I_SPAN, MAX_BITS_CAP, MAX_GRID_POINTS, MIN_GRID_POINTS,
+    CellDesign, JitterFit, TechnologyProfile, require_bit_count, require_epsilon, require_grid_points,
 )
 
 #: Fraction of the fastest cell's maximum referential delay granted to jitter.
@@ -62,10 +56,7 @@ def default_grids(
     """Logarithmic (c_star, i_star_fastest) grids covering the design span,
     with MIN_GRID_POINTS to MAX_GRID_POINTS points, checked before any
     allocation."""
-    if not MIN_GRID_POINTS <= points <= MAX_GRID_POINTS:
-        raise FieldValidationError(
-            "grid_points", f"needs {MIN_GRID_POINTS} to {MAX_GRID_POINTS} points per axis (got {points})"
-        )
+    require_grid_points(points)
     return (
         np.geomspace(c_span[0], c_span[1], points),
         np.geomspace(i_span[0], i_span[1], points),
@@ -81,11 +72,6 @@ def _validate_grid(grid: np.ndarray, name: str) -> np.ndarray:
     if not np.all(np.diff(grid) > 0):
         raise FieldValidationError(name, "must be strictly increasing")
     return grid
-
-
-def _validate_epsilon(epsilon: float) -> None:
-    if not (math.isfinite(epsilon) and epsilon >= 1.0):
-        raise FieldValidationError("epsilon", f"excess jitter margin must be finite and >= 1 (got {epsilon})")
 
 
 @dataclass(frozen=True)
@@ -357,18 +343,11 @@ class _ConstraintTables:
         return math.inf if crit >= _EPSILON_REACH_LIMIT else max(1.0, crit)
 
 
-def constraint_region(
-    n: int,
-    c_grid: np.ndarray,
-    i_grid: np.ndarray,
-    cell: CellDesign,
-    tech: TechnologyProfile,
-    fit: JitterFit,
-    epsilon: float = 1.0,
-) -> DesignRegion:
+def constraint_region(n: int, c_grid: np.ndarray, i_grid: np.ndarray, cell: CellDesign, tech: TechnologyProfile,
+                      fit: JitterFit, epsilon: float = 1.0) -> DesignRegion:
     """Evaluate all three constraints for an n-bit multiplier over the grid."""
     require_bit_count(n, "n")
-    _validate_epsilon(epsilon)
+    require_epsilon(epsilon)
     return _ConstraintTables(c_grid, i_grid, cell, tech, fit).region(n, epsilon, fit.unit_scale)
 
 
@@ -382,29 +361,17 @@ def optimal_point(region: DesignRegion) -> Tuple[float, float]:
     return float(region.grid_cstar[best_ci]), float(region.grid_istar[best_ii])
 
 
-def max_bits_curve(
-    epsilons: Sequence[float],
-    c_grid: np.ndarray,
-    i_grid: np.ndarray,
-    cell: CellDesign,
-    tech: TechnologyProfile,
-    fit: JitterFit,
-) -> List[int]:
+def max_bits_curve(epsilons: Sequence[float], c_grid: np.ndarray, i_grid: np.ndarray, cell: CellDesign,
+                   tech: TechnologyProfile, fit: JitterFit) -> List[int]:
     """max_bits at each excess margin, read off one eps_crit profile."""
     for epsilon in epsilons:
-        _validate_epsilon(epsilon)
+        require_epsilon(epsilon)
     crit = _ConstraintTables(c_grid, i_grid, cell, tech, fit).profile(fit.unit_scale)
     return [int(np.count_nonzero(crit >= epsilon)) for epsilon in epsilons]
 
 
-def max_bits(
-    epsilon: float,
-    c_grid: np.ndarray,
-    i_grid: np.ndarray,
-    cell: CellDesign,
-    tech: TechnologyProfile,
-    fit: JitterFit,
-) -> int:
+def max_bits(epsilon: float, c_grid: np.ndarray, i_grid: np.ndarray, cell: CellDesign, tech: TechnologyProfile,
+             fit: JitterFit) -> int:
     """Largest bit count with a non-empty feasible region at excess margin epsilon.
 
     Feasible sets nest as n grows, so this is the number of bit counts with
@@ -414,35 +381,6 @@ def max_bits(
 
 
 # --- unit calibration ---------------------------------------------------
-
-#: Headline targets the calibrated design space must reproduce.
-DEFAULT_CALIBRATION_TARGETS: Tuple[dict, ...] = (
-    {"kind": "max_bits", "epsilon": 1.0, "bits": 5},
-    {"kind": "feasible", "n": 4, "epsilon": 1.0},
-    {"kind": "infeasible", "n": 6, "epsilon": 1.0},
-    {"kind": "optimum", "n": 5, "epsilon": 1.0, "c_star": 2.2e-15, "i_star": 1e-6, "grid_steps": 1},
-    {"kind": "bits_reach", "bits": 1, "epsilon": 14.0, "rel_tol": 0.3},
-)
-
-#: The fields each calibration target kind reads, with their defaults;
-#: None marks a required field.
-_TARGET_FIELDS: Dict[str, Dict[str, Optional[float]]] = {
-    "max_bits": {"bits": None, "epsilon": 1.0},
-    "feasible": {"n": None, "epsilon": 1.0},
-    "infeasible": {"n": None, "epsilon": 1.0},
-    "optimum": {"n": None, "c_star": None, "i_star": None, "epsilon": 1.0, "grid_steps": 1.0},
-    "bits_reach": {"bits": None, "epsilon": 1.0, "rel_tol": 0.3},
-}
-
-#: Inclusive range of target fields; any other field is a number >= 0. n and
-#: bits index the eps_crit profile, so they must also be integers.
-_TARGET_RANGES: Dict[str, Tuple[float, float]] = {
-    "n": (1, MAX_BITS_CAP),
-    "bits": (0, MAX_BITS_CAP - 1),
-    "epsilon": (1.0, math.inf),
-    "c_star": (sys.float_info.min, math.inf),
-    "i_star": (sys.float_info.min, math.inf),
-}
 
 #: Residual contribution of a missed hard target.
 _MISS_PENALTY = 1e3
@@ -473,35 +411,6 @@ class CalibrationResult:
             "targets_met": list(self.targets_met),
             "convention": self.convention,
         }
-
-
-def _parse_targets(targets: Sequence[dict]) -> List[dict]:
-    """The targets, complete: each kind's defaults filled in, n and bits as ints,
-    every other field a float. Rejects, before any search starts, an unknown
-    kind, a field the kind does not read and a missing or out-of-range field."""
-    if not isinstance(targets, (list, tuple)):
-        raise FieldValidationError("targets", "must be a list of target objects")
-    parsed = []
-    for t in targets:
-        kind = t.get("kind") if isinstance(t, dict) else None
-        if not isinstance(kind, str) or kind not in _TARGET_FIELDS:
-            raise FieldValidationError("kind", f"unknown calibration target {t!r}")
-        for key in t:
-            if key != "kind" and key not in _TARGET_FIELDS[kind]:
-                raise FieldValidationError(key, f"is not a field of a {kind} calibration target {t!r}")
-        out = {"kind": kind}
-        for key, default in _TARGET_FIELDS[kind].items():
-            if key not in t and default is None:
-                raise FieldValidationError(key, f"missing from calibration target {t!r}")
-            value = t.get(key, default)
-            lo, hi = _TARGET_RANGES.get(key, (0.0, math.inf))
-            integral = key in ("n", "bits")
-            if not (is_finite_number(value) and lo <= value <= hi) or (integral and value != int(value)):
-                what = "an integer" if integral else "a number"
-                raise FieldValidationError(key, f"must be {what} in [{lo:g}, {hi:g}] (calibration target {t!r})")
-            out[key] = int(value) if integral else float(value)
-        parsed.append(out)
-    return parsed
 
 
 def _log_step(grid: np.ndarray) -> float:
@@ -536,7 +445,7 @@ def _evaluate_targets(
                 steps_i = abs(math.log(i_opt / t["i_star"])) / _log_step(tables.i_grid)
                 allowed = t["grid_steps"] + 1e-9
                 ok, cost = steps_c <= allowed and steps_i <= allowed, 0.01 * (steps_c + steps_i)
-        else:  # bits_reach; _parse_targets admits no other kind
+        else:  # bits_reach; parse_targets admits no other kind
             reached = tables.epsilon_reaching_bits(t["bits"], scale)
             tol = t["rel_tol"]
             ok = math.isfinite(reached) and (1 - tol) * eps <= reached <= (1 + tol) * eps
@@ -583,7 +492,7 @@ def calibrate_units(
     design point (the optimum target's, or the nominal cell), each ray
     sampled at up to 17 distinct magnitudes across the window where the
     max_bits target holds (read in closed form, its edges pulled in by
-    _EDGE_CLEARANCE), then 9 ratios around the ratio of the winning ray,
+    _EDGE_CLEARANCE), then 8 ratios around the ratio of the winning ray,
     the one whose candidate meets every target at the lowest residual.
     Every target of every candidate scale, the optimum included, reads the
     one per-scale column table of _ConstraintTables (front margins and
@@ -598,7 +507,7 @@ def calibrate_units(
     unit scale can then match them) and CalibrationError when no candidate
     meets every target.
     """
-    targets = _parse_targets(targets)
+    targets = parse_targets(targets)
     if c_grid is None or i_grid is None:
         dc, di = default_grids()
         c_grid = dc if c_grid is None else c_grid
@@ -664,8 +573,9 @@ def calibrate_units(
             missed = [i for i, ok in enumerate(best[2]) if not ok]
             detail = f"; best candidate ({label(best[3])}) missed target indices {missed}"
         raise CalibrationError(f"no unit scale satisfies all calibration targets{detail}")
-    # refine around the winning ray's own ratio
-    for x in min(met_any, key=lambda c: c[0])[3] * np.geomspace(0.5, 2.0, 9):
+    # refine around the winning ray's own ratio, already scanned: factor
+    # geomspace(0.5, 2.0, 9)[4] is exactly 1
+    for x in min(met_any, key=lambda c: c[0])[3] * np.delete(np.geomspace(0.5, 2.0, 9), 4):
         scan(float(x))
     met_any = [c for c in candidates if all(c[2])]
     residual, scale, met, x = min(met_any, key=lambda c: c[0])

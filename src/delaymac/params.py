@@ -82,6 +82,21 @@ def require_bit_count(n_bits, fieldname: str = "n_bits") -> None:
     )
 
 
+def require_grid_points(points: int) -> None:
+    """Raise FieldValidationError unless points is MIN_GRID_POINTS to
+    MAX_GRID_POINTS; design_space.default_grids checks before it allocates."""
+    _require(MIN_GRID_POINTS <= points <= MAX_GRID_POINTS, "grid_points",
+             f"needs {MIN_GRID_POINTS} to {MAX_GRID_POINTS} points per axis (got {points})")
+
+
+def require_epsilon(epsilon: float) -> None:
+    """Raise FieldValidationError unless the excess jitter margin epsilon is
+    finite and >= 1. A curve checks each of its margins, so the message is
+    formatted only on failure."""
+    if not (math.isfinite(epsilon) and epsilon >= 1.0):
+        raise FieldValidationError("epsilon", f"excess jitter margin must be finite and >= 1 (got {epsilon})")
+
+
 @dataclass(frozen=True)
 class TechnologyProfile:
     """Process-level constants shared by every cell of a design.

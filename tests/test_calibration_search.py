@@ -50,6 +50,21 @@ def test_each_distinct_magnitude_is_evaluated_once(cell, tech, fit, monkeypatch)
     assert len(calls) <= 38
 
 
+def test_no_scale_is_evaluated_twice(cell, tech, fit, monkeypatch):
+    # the refinement skips factor 1, the winning ray's own ratio, scanned already
+    calls = []
+    evaluate = ds._evaluate_targets
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(ds, "_evaluate_targets", counted)
+    result = ds.calibrate_units(ds.DEFAULT_CALIBRATION_TARGETS, fit, tech, cell, *ds.default_grids(128))
+    assert all(result.targets_met)
+    assert len(calls) == len(set(calls))
+
+
 class TestCalibrateWarning:
     def test_untied_default_calibrate_is_quiet(self, run, capsys):
         # at 32 points a ratio rederived from the winner's rounded scale is
